@@ -123,27 +123,34 @@ def _render(command: str, header: dict, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_schedule_file(path: str) -> list:
-    pairs = []
+def _read_rows(path: str, columns: str, minimum: int = 1) -> np.ndarray:
+    """Numeric rows of a line-oriented file, one ``columns``-shaped row per line.
+
+    Blank lines and lines starting with ``#`` are skipped.  Returns an array
+    of shape (rows, number of columns); a malformed line or fewer than
+    ``minimum`` rows raises ParameterError naming the file and line.
+    """
+    width = columns.count(",") + 1
+    rows = []
     with open(path) as handle:
         for number, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             parts = text.split(",")
-            if len(parts) != 2:
+            if len(parts) != width:
                 raise ParameterError(
-                    f"{path} line {number}: expected 'p,q', got {text!r}"
+                    f"{path} line {number}: expected '{columns}', got {text!r}"
                 )
             try:
-                pairs.append((float(parts[0]), float(parts[1])))
+                rows.append([float(part) for part in parts])
             except ValueError:
                 raise ParameterError(
                     f"{path} line {number}: non-numeric entry in {text!r}"
                 ) from None
-    if not pairs:
-        raise ParameterError(f"{path}: no pairs found")
-    return pairs
+    if len(rows) < minimum:
+        raise ParameterError(f"{path}: need at least {minimum} '{columns}' lines")
+    return np.array(rows)
 
 
 def _run_coin_verify(config: dict, trials: int, stream: RandomStream, pure_dp: bool):
@@ -155,7 +162,7 @@ def _run_coin_verify(config: dict, trials: int, stream: RandomStream, pure_dp: b
     if config["schedule_file"] is not None:
         schedules = [
             DeterministicAdversary.from_probabilities(
-                _parse_schedule_file(config["schedule_file"]), epsilon
+                _read_rows(config["schedule_file"], "p,q"), epsilon
             )
         ]
     else:
@@ -241,29 +248,11 @@ def _run_select_demo(config: dict, trials: int, stream: RandomStream, pure_dp: b
     return rows, int(excess)
 
 
-def _parse_score_table(path: str) -> np.ndarray:
-    scores = []
-    with open(path) as handle:
-        for number, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                scores.append(float(text.split(",")[0]))
-            except ValueError:
-                raise ParameterError(
-                    f"{path} line {number}: non-numeric score {text!r}"
-                ) from None
-    if len(scores) < 2:
-        raise ParameterError(f"{path}: need at least 2 candidate scores")
-    return np.array(scores)
-
-
 def _run_topk_bench(config: dict, trials: int, stream: RandomStream, pure_dp: bool):
     rows = []
     k = config["k"]
     if config["table_file"] is not None:
-        scores_table = _parse_score_table(config["table_file"])
+        scores_table = _read_rows(config["table_file"], "score", minimum=2)[:, 0]
     else:
         scores_table = np.arange(config["m"], dtype=float)
     m = scores_table.size
@@ -291,30 +280,6 @@ def _run_topk_bench(config: dict, trials: int, stream: RandomStream, pure_dp: bo
         rows.append((trial, "epsilon_spent", result.cost.epsilon, ""))
     rows.append((-1, "failure_rate", failures / trials, "aggregate"))
     return rows, 0
-
-
-def _parse_query_file(path: str) -> tuple:
-    values, thresholds = [], []
-    with open(path) as handle:
-        for number, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ParameterError(
-                    f"{path} line {number}: expected 'value,threshold', got {text!r}"
-                )
-            try:
-                values.append(float(parts[0]))
-                thresholds.append(float(parts[1]))
-            except ValueError:
-                raise ParameterError(
-                    f"{path} line {number}: non-numeric entry in {text!r}"
-                ) from None
-    if not values:
-        raise ParameterError(f"{path}: no queries found")
-    return np.array(values), np.array(thresholds)
 
 
 def _classic_svt(values, thresholds, k, epsilon, sensitivity, generator):
@@ -353,7 +318,7 @@ def _run_svt_bench(config: dict, trials: int, stream: RandomStream, pure_dp: boo
     )
     from_file = config["query_file"] is not None
     if from_file:
-        file_values, file_thresholds = _parse_query_file(config["query_file"])
+        file_values, file_thresholds = _read_rows(config["query_file"], "value,threshold").T
         count = file_values.size
     else:
         count = config["queries"]
@@ -483,6 +448,38 @@ _RUNNERS = {
 }
 
 
+# Count keys that may be zero; every other integer key counts at least one.
+_MAY_BE_ZERO = {"max_selections", "max_tops"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_override(command: str, key: str, value) -> None:
+    """Refuse an override whose JSON type or range does not fit its default."""
+    default = _DEFAULTS[command][key]
+    if default is None:
+        ok, kind = value is None or isinstance(value, str), "a path or null"
+    elif isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        least = 0 if key in _MAY_BE_ZERO else 1
+        ok = _is_number(value) and isinstance(value, int) and value >= least
+        kind = f"an integer of at least {least}"
+    elif isinstance(default, float):
+        ok, kind = _is_number(value), "a number"
+    elif isinstance(default, list):
+        ok = isinstance(value, list) and all(_is_number(item) for item in value)
+        kind = "a list of numbers"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ParameterError(
+            f"config key {key!r} of {command} must be {kind}, got {json.dumps(value)}"
+        )
+
+
 def _load_config(command: str, path: str | None) -> dict:
     config = dict(_DEFAULTS[command])
     if path is not None:
@@ -495,6 +492,8 @@ def _load_config(command: str, path: str | None) -> dict:
             raise ParameterError(
                 f"unknown config keys for {command}: {', '.join(unknown)}"
             )
+        for key, value in overrides.items():
+            _check_override(command, key, value)
         config.update(overrides)
     return config
 

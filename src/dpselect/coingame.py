@@ -4,13 +4,14 @@ An adversary feeds Bernoulli pairs (p_i, q_i) with q_i <= p_i and two-sided
 exp(eps) closeness of both the pair and its complements.  The game flips the
 p-coin when a hidden bit is 0 and the q-coin when it is 1, revealing each
 outcome, and halts once k ones have appeared.  The oracles here compute, for
-round-indexed deterministic schedules, the exact halting-time law of the
-single-success game, its Renyi and max divergences at any truncation
-horizon, and full-transcript divergences of the multi-success game.
+round-indexed deterministic schedules, the exact Renyi and max divergences
+of the truncated game's transcripts, for any k and truncation cap, by one
+forward recurrence over (round, ones seen).
 
-Conventions: the halting round of the k = 1 game has probability
-Pr[halt = i] = prod_{j<i} (1 - p_j) * p_i, and a truncation at horizon m
-keeps the event "still running after m rounds" as one aggregate outcome.
+Conventions: a truncation at cap m keeps each transcript still running
+after m rounds as its own outcome; for k = 1 that is the single event
+"no one in m rounds", so the k = 1 outcomes are the halting rounds
+Pr[halt = i] = prod_{j<i} (1 - p_j) * p_i plus that tail.
 Divergences are reported as E-values exp((alpha - 1) * D_alpha), i.e. the
 quantity sum_x P(x) * (P(x) / Q(x)) ** (alpha - 1), so a bound D_alpha <= B
 reads E <= exp((alpha - 1) * B).
@@ -19,8 +20,9 @@ reads E <= exp((alpha - 1) * B).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -78,18 +80,6 @@ class DeterministicAdversary:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class TranscriptDistribution:
-    """Halting-time law of the single-success game truncated at a horizon.
-
-    ``probabilities[i]`` is Pr[halt at round i + 1]; ``tail`` is the mass of
-    runs still alive after the horizon.  The entries sum to one.
-    """
-
-    probabilities: np.ndarray
-    tail: float
-
-
 def run_coin_game(
     b: int,
     epsilon: float,
@@ -127,29 +117,63 @@ def _chances(adversary: DeterministicAdversary, b: int) -> np.ndarray:
     return np.array([getattr(pair, attr) for pair in adversary.pairs])
 
 
-def halting_distribution(
-    adversary: DeterministicAdversary, b: int, horizon: int | None = None
-) -> TranscriptDistribution:
-    """Exact law of the halting round of the k = 1 game, truncated at horizon."""
-    horizon = len(adversary) if horizon is None else horizon
-    if not 1 <= horizon <= len(adversary):
-        raise ParameterError(f"horizon must lie in [1, {len(adversary)}], got {horizon}")
-    chance = _chances(adversary, b)[:horizon]
-    alive = np.concatenate(([1.0], np.cumprod(1.0 - chance)))
-    return TranscriptDistribution(alive[:-1] * chance, float(alive[-1]))
+def _check_cap(adversary: DeterministicAdversary, cap: int, name: str) -> None:
+    if not 1 <= cap <= len(adversary):
+        raise ParameterError(f"{name} must lie in [1, {len(adversary)}], got {cap}")
 
 
-def _ratio_power_sum(
-    probs_p: Sequence[float], probs_q: Sequence[float], alpha: float
+def _check_k(k: int) -> None:
+    if not (isinstance(k, int) and k >= 1):
+        raise ParameterError(f"k must be a positive integer, got {k}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 1:
+        raise ParameterError(f"alpha must exceed 1, got {alpha}")
+
+
+def _step(mass_p: float, mass_q: float, alpha: float | None) -> float:
+    """One round's factor: P (P/Q)^(alpha-1), or P/Q when alpha is None."""
+    if mass_p == 0.0:
+        return 0.0
+    if mass_q == 0.0:
+        return math.inf
+    ratio = mass_p / mass_q
+    return ratio if alpha is None else mass_p * ratio ** (alpha - 1.0)
+
+
+def _transcript_fold(
+    adversary: DeterministicAdversary, k: int, cap: int, alpha: float | None
 ) -> float:
-    total = 0.0
-    for mass_p, mass_q in zip(probs_p, probs_q):
-        if mass_p == 0.0:
-            continue
-        if mass_q == 0.0:
-            return math.inf
-        total += mass_p * (mass_p / mass_q) ** (alpha - 1.0)
-    return total
+    """Sum (or, when alpha is None, max) of a per-transcript value.
+
+    A transcript's value, P (P/Q)^(alpha-1) or P/Q, is the product of its
+    rounds' factors, so a forward recurrence over (round, ones seen) carries
+    the sum or max per state in O(cap * k).  A state absorbs at its k-th one
+    or at round ``cap``.  Outcomes of zero P mass contribute nothing, and a
+    positive-P, zero-Q outcome makes the result +inf.
+    """
+    fold = max if alpha is None else operator.add
+    alive = [1.0] + [0.0] * (k - 1)
+    halted = 0.0
+    for pair in adversary.pairs[:cap]:
+        one = _step(pair.p, pair.q, alpha)
+        zero = _step(1.0 - pair.p, 1.0 - pair.q, alpha)
+        following = [0.0] * k
+        for ones, value in enumerate(alive):
+            if value == 0.0:
+                continue
+            if zero:
+                following[ones] = fold(following[ones], value * zero)
+            if one:
+                if ones + 1 == k:
+                    halted = fold(halted, value * one)
+                else:
+                    following[ones + 1] = fold(following[ones + 1], value * one)
+        alive = following
+    for value in alive:
+        halted = fold(halted, value)
+    return halted
 
 
 def exact_renyi(
@@ -161,33 +185,19 @@ def exact_renyi(
     i.e. exp((alpha - 1) * D_alpha(P || Q)).  A zero-q outcome with positive
     p mass makes the divergence infinite and is reported as +inf.
     """
-    if not alpha > 1:
-        raise ParameterError(f"alpha must exceed 1, got {alpha}")
-    dist_p = halting_distribution(adversary, 0, horizon)
-    dist_q = halting_distribution(adversary, 1, horizon)
-    return _ratio_power_sum(
-        np.concatenate((dist_p.probabilities, [dist_p.tail])),
-        np.concatenate((dist_q.probabilities, [dist_q.tail])),
-        alpha,
-    )
+    _check_alpha(alpha)
+    horizon = len(adversary) if horizon is None else horizon
+    _check_cap(adversary, horizon, "horizon")
+    return _transcript_fold(adversary, 1, horizon, alpha)
 
 
 def exact_max_divergence(
     adversary: DeterministicAdversary, horizon: int | None = None
 ) -> float:
     """Max divergence ln sup_x P(x)/Q(x) of the truncated k = 1 game."""
-    dist_p = halting_distribution(adversary, 0, horizon)
-    dist_q = halting_distribution(adversary, 1, horizon)
-    best = 0.0
-    for mass_p, mass_q in zip(
-        np.concatenate((dist_p.probabilities, [dist_p.tail])),
-        np.concatenate((dist_q.probabilities, [dist_q.tail])),
-    ):
-        if mass_p == 0.0:
-            continue
-        if mass_q == 0.0:
-            return math.inf
-        best = max(best, mass_p / mass_q)
+    horizon = len(adversary) if horizon is None else horizon
+    _check_cap(adversary, horizon, "horizon")
+    best = _transcript_fold(adversary, 1, horizon, None)
     return math.log(best) if best > 0 else 0.0
 
 
@@ -198,14 +208,13 @@ def bernoulli_renyi_check(p: float, q: float, epsilon: float, alpha: float) -> f
     regime where the quadratic bound is guaranteed.  Raises BoundViolation
     if the certified inequality somehow fails.
     """
-    pair = QueryPair(p, q, epsilon)
-    if not alpha > 1:
-        raise ParameterError(f"alpha must exceed 1, got {alpha}")
+    adversary = DeterministicAdversary.from_probabilities([(p, q)], epsilon)
+    _check_alpha(alpha)
     if alpha * epsilon > 1.0 / 3.0 + _PROMISE_TOL:
         raise ParameterError(
             f"alpha * epsilon must be at most 1/3, got {alpha * epsilon}"
         )
-    value = _ratio_power_sum([pair.p, 1.0 - pair.p], [pair.q, 1.0 - pair.q], alpha)
+    value = _transcript_fold(adversary, 1, 1, alpha)
     bound = 1.0 + alpha * (alpha - 1.0) * epsilon * epsilon
     if value > bound + 1e-12:
         raise BoundViolation(
@@ -222,6 +231,8 @@ def enumerate_transcripts(
     Walks all binary transcripts that either halt with k ones within ``cap``
     rounds or survive to the cap, treating each surviving prefix as its own
     outcome.  Returns aligned (P, Q) probability arrays; both sum to one.
+    Exponential in ``cap``: the divergence oracles use the recurrence, and
+    this walk is kept as the independent reference they are tested against.
     """
     if not (isinstance(k, int) and k >= 1):
         raise ParameterError(f"k must be a positive integer, got {k}")
@@ -249,22 +260,20 @@ def transcript_renyi(
     adversary: DeterministicAdversary, k: int, alpha: float, cap: int
 ) -> float:
     """E-value of the order-alpha divergence over full truncated transcripts."""
-    if not alpha > 1:
-        raise ParameterError(f"alpha must exceed 1, got {alpha}")
-    probs_p, probs_q = enumerate_transcripts(adversary, k, cap)
-    return _ratio_power_sum(probs_p, probs_q, alpha)
+    _check_alpha(alpha)
+    _check_k(k)
+    _check_cap(adversary, cap, "cap")
+    return _transcript_fold(adversary, k, cap, alpha)
 
 
 def transcript_max_log_ratio(
     adversary: DeterministicAdversary, k: int, cap: int
 ) -> float:
     """Max divergence over full truncated transcripts of the k-success game."""
-    probs_p, probs_q = enumerate_transcripts(adversary, k, cap)
-    live = probs_p > 0
-    if np.any(live & (probs_q == 0)):
-        return math.inf
-    ratios = probs_p[live] / probs_q[live]
-    return float(np.log(ratios.max())) if ratios.size else 0.0
+    _check_k(k)
+    _check_cap(adversary, cap, "cap")
+    best = _transcript_fold(adversary, k, cap, None)
+    return math.log(best) if best > 0 else 0.0
 
 
 def random_valid_schedule(

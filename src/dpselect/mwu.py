@@ -336,6 +336,13 @@ class FixedPoolAdversary:
         pass
 
 
+def _random_half_indicator(generator: np.random.Generator, size: int) -> np.ndarray:
+    """Indicator of a uniformly random subset of size // 2 elements."""
+    values = np.zeros(size)
+    values[generator.permutation(size)[: size // 2]] = 1.0
+    return values
+
+
 class RandomSubsetAdversary:
     """Issues indicator queries of fresh uniformly random half-subsets."""
 
@@ -344,10 +351,7 @@ class RandomSubsetAdversary:
         self._generator = stream.generator
 
     def next_query(self) -> np.ndarray:
-        members = self._generator.permutation(self.universe_size)[: self.universe_size // 2]
-        values = np.zeros(self.universe_size)
-        values[members] = 1.0
-        return values
+        return _random_half_indicator(self._generator, self.universe_size)
 
     def observe(self, answer: float) -> None:
         pass
@@ -376,14 +380,9 @@ class OverfittingAdversary:
 
     def next_query(self) -> np.ndarray:
         if self._issued < self.probes:
-            members = self._generator.permutation(self.universe_size)[
-                : self.universe_size // 2
-            ]
-            values = np.zeros(self.universe_size)
-            values[members] = 1.0
-            self._pending = values
+            self._pending = _random_half_indicator(self._generator, self.universe_size)
             self._issued += 1
-            return values
+            return self._pending
         if self._final is None:
             self._final = (self._scores > 0).astype(float)
             if not self._final.any():
@@ -426,8 +425,9 @@ def adaptive_harness(
 
     Per trial: draw n records from ``probabilities``, let the adversary
     issue m adaptive queries, and record the worst empirical and population
-    error of the answers.  A halted answerer ends its trial early with the
-    errors collected so far.
+    error of the answers.  Each query is validated once, as a LinearQuery,
+    and handed to the answerer in that form.  A halted answerer ends its
+    trial early with the errors collected so far.
     """
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.ndim != 1 or abs(probabilities.sum() - 1.0) > 1e-9:
@@ -453,9 +453,11 @@ def adaptive_harness(
         worst_empirical = 0.0
         for index in range(m):
             query = adversary.next_query()
+            if not isinstance(query, LinearQuery):
+                query = LinearQuery(query)
             values = as_query_values(query, universe_size)
             try:
-                answer = answerer.answer(values)
+                answer = answerer.answer(query)
             except HaltedError:
                 halted[trial] = True
                 break

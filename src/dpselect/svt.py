@@ -171,33 +171,6 @@ def below_hypothesis(
     )
 
 
-def test_above(
-    evaluator: Evaluator,
-    threshold: float,
-    epsilon_prime: float,
-    sensitivity: float,
-    dataset: Dataset,
-    stream: RandomStream,
-) -> Verdict:
-    """One ungated noisy threshold comparison; (epsilon', 0)-DP on its own."""
-    hypothesis = above_hypothesis(evaluator, threshold, epsilon_prime, sensitivity)
-    return hypothesis.run(dataset, stream)
-
-
-def test_below(
-    evaluator: Evaluator,
-    threshold: float,
-    d: float,
-    epsilon_prime: float,
-    sensitivity: float,
-    dataset: Dataset,
-    stream: RandomStream,
-) -> Verdict:
-    """One ungated reverse comparison against threshold - d."""
-    hypothesis = below_hypothesis(evaluator, threshold, d, epsilon_prime, sensitivity)
-    return hypothesis.run(dataset, stream)
-
-
 class RepetitiveSvt:
     """Answer a stream of threshold queries under one global TOP budget.
 

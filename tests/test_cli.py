@@ -94,6 +94,27 @@ def test_malformed_json_is_rejected(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,overrides",
+    [
+        ("coin-verify", {"alphas": 2}),
+        ("select-demo", {"candidates": 0}),
+        ("select-demo", {"candidates": -2}),
+        ("accountant", {"max_selections": "a"}),
+        ("accountant", {"epsilon": "x"}),
+        ("svt-bench", {"queries": -3}),
+        ("mwu-bench", {"n": 0}),
+    ],
+)
+def test_malformed_config_values_exit_2(tmp_path, capsys, command, overrides):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(overrides))
+    assert cli.main([command, "--config", str(config), "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert repr(next(iter(overrides))) in err
+
+
 def test_missing_config_file_is_rejected(tmp_path):
     assert cli.main(["coin-verify", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -192,6 +213,10 @@ def test_topk_bench_reads_score_tables(tmp_path):
     short.write_text("1.0\n")
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"table_file": str(short)}))
+    assert cli.main(["topk-bench", "--config", str(config)]) == 2
+    wide = tmp_path / "wide.csv"
+    wide.write_text("100.0\n50.0,7.0\n1.0\n")
+    config.write_text(json.dumps({"table_file": str(wide)}))
     assert cli.main(["topk-bench", "--config", str(config)]) == 2
 
 

@@ -14,7 +14,6 @@ from dpselect.coingame import (
     enumerate_transcripts,
     exact_max_divergence,
     exact_renyi,
-    halting_distribution,
     random_valid_schedule,
     run_coin_game,
     transcript_max_log_ratio,
@@ -89,37 +88,43 @@ def test_game_k_successes_stops_at_kth_one():
     assert transcript == [1, 1]
 
 
-def test_halting_distribution_hand_example():
+def test_exact_renyi_halting_hand_example():
+    # halting laws: P = (0.5, 0.25 | tail 0.25), Q = (0.4, 0.24 | tail 0.36)
     adv = adversary([(0.5, 0.4), (0.5, 0.4)], 0.3)
-    dist_p = halting_distribution(adv, 0)
-    assert dist_p.probabilities == pytest.approx([0.5, 0.25])
-    assert dist_p.tail == pytest.approx(0.25)
-    dist_q = halting_distribution(adv, 1)
-    assert dist_q.probabilities == pytest.approx([0.4, 0.24])
-    assert dist_q.tail == pytest.approx(0.36)
+    probs_p, probs_q = [0.5, 0.25, 0.25], [0.4, 0.24, 0.36]
+    want = sum(a * a / b for a, b in zip(probs_p, probs_q))
+    assert exact_renyi(adv, 2.0) == pytest.approx(want, abs=1e-12)
+    assert exact_max_divergence(adv) == pytest.approx(math.log(0.5 / 0.4), abs=1e-12)
+    # at horizon 1 the tail is everything after round one: P = (0.5 | 0.5)
+    want = 0.5 * 0.5 / 0.4 + 0.5 * 0.5 / 0.6
+    assert exact_renyi(adv, 2.0, 1) == pytest.approx(want, abs=1e-12)
 
 
-def test_halting_distribution_matches_loop_oracle():
+def test_exact_renyi_matches_loop_oracle_at_each_horizon():
     rng = np.random.default_rng(4)
     for _ in range(50):
         length = int(rng.integers(1, 9))
         stream = RandomStream(int(rng.integers(0, 10_000)))
         adv = random_valid_schedule(stream, length, 0.25)
-        for b in (0, 1):
-            chances = [pair.p if b == 0 else pair.q for pair in adv.pairs]
-            horizon = int(rng.integers(1, length + 1))
-            want_probs, want_tail = oracles.halting_law_loop(chances, horizon)
-            got = halting_distribution(adv, b, horizon)
-            assert got.probabilities == pytest.approx(want_probs, rel=1e-12)
-            assert got.tail == pytest.approx(want_tail, rel=1e-12)
-            assert got.probabilities.sum() + got.tail == pytest.approx(1.0)
+        horizon = int(rng.integers(1, length + 1))
+        mass_p, tail_p = oracles.halting_law_loop([pair.p for pair in adv.pairs], horizon)
+        mass_q, tail_q = oracles.halting_law_loop([pair.q for pair in adv.pairs], horizon)
+        assert sum(mass_p) + tail_p == pytest.approx(1.0)
+        outcomes = list(zip(mass_p + [tail_p], mass_q + [tail_q]))
+        for alpha in (1.5, 2.0, 3.5):
+            want = sum(a * (a / b) ** (alpha - 1.0) for a, b in outcomes)
+            assert exact_renyi(adv, alpha, horizon) == pytest.approx(want, rel=1e-12)
+        want = math.log(max(a / b for a, b in outcomes))
+        assert exact_max_divergence(adv, horizon) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
-def test_halting_distribution_validates_horizon():
+def test_exact_renyi_validates_horizon():
     adv = adversary([(0.5, 0.45)], 0.2)
     for horizon in (0, 2):
         with pytest.raises(ParameterError):
-            halting_distribution(adv, 0, horizon)
+            exact_renyi(adv, 2.0, horizon)
+        with pytest.raises(ParameterError):
+            exact_max_divergence(adv, horizon)
 
 
 def test_exact_renyi_is_one_when_bits_match():
@@ -244,15 +249,92 @@ def test_enumeration_masses_sum_to_one():
 
 
 def test_enumeration_k1_matches_halting_law():
-    # two independent computations of the same divergence must agree
+    # the walk over transcripts and the plain-loop halting law are two
+    # independent derivations of the same k = 1 outcome masses
     stream = RandomStream(79)
     for i in range(20):
         adv = random_valid_schedule(stream.split(i), 6, 0.25)
-        left = transcript_renyi(adv, 1, 2.0, 6)
-        right = exact_renyi(adv, 2.0)
-        assert left == pytest.approx(right, rel=1e-10)
-        assert transcript_max_log_ratio(adv, 1, 6) == pytest.approx(
-            exact_max_divergence(adv), abs=1e-10
+        probs_p, probs_q = enumerate_transcripts(adv, 1, 6)
+        for probs, chances in ((probs_p, [pair.p for pair in adv.pairs]),
+                               (probs_q, [pair.q for pair in adv.pairs])):
+            mass, tail = oracles.halting_law_loop(chances, 6)
+            assert sorted(probs) == pytest.approx(sorted(mass + [tail]), rel=1e-12)
+
+
+def enumerated_value(adv, k, cap, alpha=None):
+    """Sum of P (P/Q)^(alpha-1), or max of P/Q, over the enumerated transcripts."""
+    values = []
+    for mass_p, mass_q in zip(*enumerate_transcripts(adv, k, cap)):
+        if mass_p == 0.0:
+            continue
+        if mass_q == 0.0:
+            return math.inf
+        ratio = mass_p / mass_q
+        values.append(ratio if alpha is None else mass_p * ratio ** (alpha - 1.0))
+    return max(values) if alpha is None else sum(values)
+
+
+def assert_matches_enumeration(adv, k, cap):
+    for alpha in (1.5, 2.0, 3.0):
+        want = enumerated_value(adv, k, cap, alpha)
+        got = transcript_renyi(adv, k, alpha, cap)
+        assert got == (math.inf if want == math.inf else pytest.approx(want, rel=1e-12))
+    want = enumerated_value(adv, k, cap)
+    got = math.exp(transcript_max_log_ratio(adv, k, cap))
+    assert got == (math.inf if want == math.inf else pytest.approx(want, rel=1e-12))
+
+
+def test_recurrence_matches_enumeration_on_random_schedules():
+    rng = np.random.default_rng(81)
+    for _ in range(40):
+        length = int(rng.integers(1, 13))
+        epsilon = float(rng.choice([0.05, 0.1, 0.3]))
+        adv = random_valid_schedule(RandomStream(int(rng.integers(0, 10**6))), length, epsilon)
+        cap = int(rng.integers(1, length + 1))
+        for k in range(1, cap + 1):
+            assert_matches_enumeration(adv, k, cap)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(0.0, 0.0), (0.5, 0.45), (1.0, 1.0), (0.3, 0.28)],
+        [(1.0, 1.0), (0.0, 0.0), (0.6, 0.55)],
+        [(0.5, 0.45), (1e-13, 0.0), (0.4, 0.38)],
+        [(1e-13, 0.0), (1.0, 1.0), (0.0, 0.0), (0.5, 0.45)],
+    ],
+)
+def test_recurrence_keeps_the_zero_mass_conventions(pairs):
+    # zero-P outcomes are skipped; a positive-P, zero-Q outcome gives +inf
+    adv = adversary(pairs, 0.2)
+    for cap in range(1, len(pairs) + 1):
+        for k in range(1, cap + 1):
+            assert_matches_enumeration(adv, k, cap)
+
+
+def test_long_schedule_multi_success_bounds():
+    # far past what enumeration reaches: the paper's k-success bounds
+    # D_alpha <= 3 k alpha eps^2 and D_inf <= k eps
+    stream = RandomStream(82)
+    for index, (length, epsilon) in enumerate([(200, 0.1), (700, 0.05), (2000, 0.02)]):
+        for trial in range(2):
+            adv = random_valid_schedule(stream.split(index).split(trial), length, epsilon)
+            for k in (1, 7, 20, 50):
+                assert transcript_max_log_ratio(adv, k, length) <= k * epsilon + 1e-12
+                for alpha in (1.5, 2.0):
+                    e_value = transcript_renyi(adv, k, alpha, length)
+                    divergence = math.log(e_value) / (alpha - 1.0)
+                    assert divergence <= 3.0 * k * alpha * epsilon**2 + 1e-9
+
+
+def test_max_bound_is_attained_on_the_boundary_schedule():
+    # p = e^eps q every round: k ones in a row reach exactly k eps
+    epsilon = 0.1
+    qs = np.linspace(0.05, 0.3, 60)
+    adv = adversary([(q * math.exp(epsilon), q) for q in qs], epsilon)
+    for k in (1, 2, 5, 20, 50):
+        assert transcript_max_log_ratio(adv, k, len(qs)) == pytest.approx(
+            k * epsilon, rel=1e-12, abs=1e-12
         )
 
 

@@ -17,8 +17,6 @@ from dpselect.svt import (
     repetitive_svt,
     svt_params,
 )
-from dpselect.svt import test_above as run_above
-from dpselect.svt import test_below as run_below
 
 
 def constant_query(value: float, threshold: float) -> SvtQuery:
@@ -95,10 +93,8 @@ def test_params_validate_types():
 def test_above_is_a_fair_coin_at_the_threshold():
     ds = make_dataset()
     root = RandomStream(61)
-    hits = sum(
-        run_above(lambda d: 2.0, 2.0, 0.5, 1.0, ds, root.split(i)) is TOP
-        for i in range(100_000)
-    )
+    above = above_hypothesis(lambda d: 2.0, 2.0, 0.5, 1.0)
+    hits = sum(above.run(ds, root.split(i)) is TOP for i in range(100_000))
     assert abs(hits / 100_000 - 0.5) < 0.005
 
 
@@ -107,14 +103,10 @@ def test_above_saturates_far_from_the_threshold():
     scale = 1.0 / 0.5
     offset = 10.0 * scale * math.log(10.0)
     root = RandomStream(62)
-    high = sum(
-        run_above(lambda d: offset, 0.0, 0.5, 1.0, ds, root.split(i)) is TOP
-        for i in range(10_000)
-    )
-    low = sum(
-        run_above(lambda d: -offset, 0.0, 0.5, 1.0, ds, root.split(10_000 + i)) is TOP
-        for i in range(10_000)
-    )
+    far_above = above_hypothesis(lambda d: offset, 0.0, 0.5, 1.0)
+    far_below = above_hypothesis(lambda d: -offset, 0.0, 0.5, 1.0)
+    high = sum(far_above.run(ds, root.split(i)) is TOP for i in range(10_000))
+    low = sum(far_below.run(ds, root.split(10_000 + i)) is TOP for i in range(10_000))
     assert high == 10_000
     assert low == 0
 
@@ -123,15 +115,11 @@ def test_below_fires_at_the_shifted_threshold():
     ds = make_dataset()
     d = 3.0
     root = RandomStream(63)
-    hits = sum(
-        run_below(lambda d_: 2.0 - d, 2.0, d, 0.5, 1.0, ds, root.split(i)) is TOP
-        for i in range(100_000)
-    )
+    at_shift = below_hypothesis(lambda d_: 2.0 - d, 2.0, d, 0.5, 1.0)
+    hits = sum(at_shift.run(ds, root.split(i)) is TOP for i in range(100_000))
     assert abs(hits / 100_000 - 0.5) < 0.005
-    sure = sum(
-        run_below(lambda d_: -50.0, 2.0, d, 0.5, 1.0, ds, root.split(i)) is TOP
-        for i in range(5_000)
-    )
+    far_below = below_hypothesis(lambda d_: -50.0, 2.0, d, 0.5, 1.0)
+    sure = sum(far_below.run(ds, root.split(i)) is TOP for i in range(5_000))
     assert sure == 5_000
 
 
