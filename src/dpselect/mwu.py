@@ -69,6 +69,11 @@ def mwu_update(
     return tilted / tilted.sum()
 
 
+def _check_universe_size(universe_size: int) -> None:
+    if not (isinstance(universe_size, int) and universe_size >= 2):
+        raise ParameterError(f"universe size must be at least 2, got {universe_size}")
+
+
 def solve_alpha(
     universe_size: int,
     n: int,
@@ -86,8 +91,7 @@ def solve_alpha(
     feasible set is an interval and bisection to 1e-9 finds its left edge.
     Raises InfeasibleParameters when even alpha -> 1 cannot satisfy it.
     """
-    if not (isinstance(universe_size, int) and universe_size >= 2):
-        raise ParameterError(f"universe size must be at least 2, got {universe_size}")
+    _check_universe_size(universe_size)
     if not (isinstance(n, int) and n >= 1):
         raise ParameterError(f"n must be a positive integer, got {n}")
     if not (isinstance(m, int) and m >= 2):
@@ -183,6 +187,7 @@ def make_mwu_config(
     point to operate outside the guaranteed regime, e.g. for demos at small
     n; everything downstream is derived from the override instead.
     """
+    _check_universe_size(universe_size)
     if alpha_override is None:
         alpha = solve_alpha(universe_size, n, m, epsilon, delta, beta, constant)
     else:

@@ -139,5 +139,15 @@ def exponential_mechanism(
     logits = scores * (epsilon / (2.0 * sensitivity))
     logits -= logits.max()
     weights = np.exp(logits)
-    probabilities = weights / weights.sum()
-    return int(stream.generator.choice(scores.size, p=probabilities))
+    total = weights.sum()
+    # The largest weight is 1, so the sum is at least 1 unless a score was
+    # NaN or +inf, which would leave the draw below meaningless.
+    if not math.isfinite(total):
+        raise ParameterError("scores must be finite")
+    probabilities = weights / total
+    # Inverse-CDF draw from one uniform: the same index and stream position
+    # as ``generator.choice(scores.size, p=probabilities)``, without its
+    # per-call validation of the probability vector.
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(stream.generator.random(), side="right"))

@@ -207,9 +207,13 @@ def topk_select(
     beta_run = delta / 10.0 if correcting else beta
     round_epsilon = epsilon / (40.0 * math.sqrt(k * math.log(1.0 / delta_run)))
     margin = 13.0 * math.log(1.0 / beta_run) / epsilon
+    # The scores cannot change within one selection, so they are read on the
+    # first fired run (never, if no coin fires) and shared by every later run
+    # and by the fallback.
+    read_scores = functools.cache(family.evaluate_all)
 
     def base_run(ds: Dataset, run_stream: RandomStream) -> ScoredCandidate:
-        scores = family.evaluate_all(ds)
+        scores = read_scores(ds)
         remaining = list(range(m))
         chosen = []
         for _ in range(k):
@@ -235,7 +239,7 @@ def topk_select(
         / epsilon
     )
     if selected is EMPTY or (correcting and selected.payload[1] > threshold):
-        scores = family.evaluate_all(dataset)
+        scores = read_scores(dataset)
         exact = _exact_top_k(scores, k)
         return TopkResult(exact, gap(sorted(exact), scores), True, state.pure_cost())
     indices, certificate = selected.payload

@@ -180,6 +180,28 @@ def test_exponential_mechanism_sharp_at_high_epsilon():
     assert picks == {1}
 
 
+def test_exponential_mechanism_draws_as_generator_choice():
+    # Seeded outputs stay byte-identical across numpy versions only while the
+    # draw consumes the stream exactly as Generator.choice(n, p=...) does.
+    cases = np.random.default_rng(53)
+    for trial in range(600):
+        size = int(cases.integers(1, 61))
+        spread = 10.0 ** cases.uniform(-1.0, 4.0)
+        if trial % 3 == 0:
+            scores = cases.integers(0, 3, size).astype(float) * spread
+        else:
+            scores = cases.normal(0.0, spread, size)
+        epsilon, sensitivity = cases.uniform(0.01, 2.0), cases.uniform(0.1, 3.0)
+        logits = scores * (epsilon / (2.0 * sensitivity))
+        logits -= logits.max()
+        weights = np.exp(logits)
+        mine, numpys = RandomStream(trial), RandomStream(trial)
+        pick = exponential_mechanism(mine, scores, epsilon, sensitivity)
+        expected = numpys.generator.choice(size, p=weights / weights.sum())
+        assert pick == expected
+        assert mine.generator.random() == numpys.generator.random()
+
+
 def test_exponential_mechanism_validation():
     with pytest.raises(ParameterError):
         exponential_mechanism(RandomStream(0), np.array([]), 1.0, 1.0)
@@ -187,3 +209,6 @@ def test_exponential_mechanism_validation():
         exponential_mechanism(RandomStream(0), np.array([1.0]), 0.0, 1.0)
     with pytest.raises(ParameterError):
         exponential_mechanism(RandomStream(0), np.array([1.0]), 1.0, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            exponential_mechanism(RandomStream(0), np.array([1.0, bad]), 1.0, 1.0)

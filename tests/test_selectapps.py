@@ -216,6 +216,26 @@ def test_topk_certificate_is_loose_at_large_beta():
     assert undershoots >= 1
 
 
+def test_topk_reads_the_scores_once():
+    # Every fired run and the fallback share one read of the m scores; a
+    # budget of one often fires nothing, a zero correction constant makes
+    # the correcting run (beta < delta) fall back after its fired runs.
+    m = 10
+    records = np.arange(m, dtype=float)
+    family = ScoreFamily.from_table(m)
+    outcomes = set()
+    for i in range(40):
+        cap, beta, constant = [(1, 0.1, 30.0), (50, 0.1, 30.0), (50, 1e-4, 0.0)][i % 3]
+        ds = Dataset(records)
+        result = topk_select(
+            family, 2, 0.9, 0.05, beta, ds, RandomStream(i),
+            correction_constant=constant, budget_cap=cap,
+        )
+        assert ds.access_count == m
+        outcomes.add((cap, result.fallback))
+    assert outcomes == {(1, False), (1, True), (50, False), (50, True)}
+
+
 def test_topk_correction_mode_caps_the_certificate():
     # beta < delta retargets the run and repairs oversized certificates
     m, k, epsilon, delta, beta = 16, 2, 0.9, 0.05, 1e-4
@@ -302,6 +322,12 @@ def test_stable_validates_and_accounts():
         stable_select(family, 0, 0.6, 1e-3, 0.5, forced_state(p=1.0))
     with pytest.raises(ParameterError):
         stable_select(family, 1, 0.6, 1e-3, 0.5, forced_state(gamma=2.0, p=1.0))
+
+
+def test_stable_reads_nothing_when_no_coin_fires():
+    gated_out = forced_state(p=0.0, records=[5.0, 1.0, 0.5, 0.2])
+    assert stable_select(ScoreFamily.from_table(4), 1, 0.6, 1e-3, 0.5, gated_out) is None
+    assert gated_out.dataset.access_count == 0
 
 
 def test_stable_prefers_far_above_candidate():
