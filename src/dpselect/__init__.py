@@ -25,7 +25,6 @@ from .core import (
     pure_dp_cost,
 )
 from .errors import (
-    BoundViolation,
     HaltedError,
     InfeasibleParameters,
     LedgerError,
@@ -47,7 +46,6 @@ __all__ = [
     "EMPTY",
     "TOP",
     "AccountantLedger",
-    "BoundViolation",
     "Dataset",
     "FrameworkState",
     "HaltedError",

@@ -26,8 +26,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BoundViolation, ParameterError, PromiseViolation
-from .noise import RandomStream, sample_bernoulli
+from .errors import ParameterError, PromiseViolation
+from .noise import RandomStream
 
 _PROMISE_TOL = 1e-12
 
@@ -78,36 +78,6 @@ class DeterministicAdversary:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-def run_coin_game(
-    b: int,
-    epsilon: float,
-    k: int,
-    pairs: Iterable[tuple[float, float] | QueryPair],
-    stream: RandomStream,
-) -> list[int]:
-    """Play the game with hidden bit ``b`` until k ones or the schedule ends.
-
-    Each incoming pair is validated against the promise before its coin is
-    flipped; a violating pair aborts the game with PromiseViolation.
-    """
-    if b not in (0, 1):
-        raise ParameterError(f"b must be 0 or 1, got {b}")
-    if not (isinstance(k, int) and k >= 1):
-        raise ParameterError(f"k must be a positive integer, got {k}")
-    transcript: list[int] = []
-    ones = 0
-    for pair in pairs:
-        if not isinstance(pair, QueryPair):
-            pair = QueryPair(float(pair[0]), float(pair[1]), epsilon)
-        chance = pair.p if b == 0 else pair.q
-        outcome = sample_bernoulli(stream, chance)
-        transcript.append(outcome)
-        ones += outcome
-        if ones == k:
-            break
-    return transcript
 
 
 def _chances(adversary: DeterministicAdversary, b: int) -> np.ndarray:
@@ -199,28 +169,6 @@ def exact_max_divergence(
     _check_cap(adversary, horizon, "horizon")
     best = _transcript_fold(adversary, 1, horizon, None)
     return math.log(best) if best > 0 else 0.0
-
-
-def bernoulli_renyi_check(p: float, q: float, epsilon: float, alpha: float) -> float:
-    """E-value of one Bernoulli pair, certified against 1 + alpha(alpha-1)eps^2.
-
-    Requires the two-sided closeness promise and alpha * epsilon <= 1/3, the
-    regime where the quadratic bound is guaranteed.  Raises BoundViolation
-    if the certified inequality somehow fails.
-    """
-    adversary = DeterministicAdversary.from_probabilities([(p, q)], epsilon)
-    _check_alpha(alpha)
-    if alpha * epsilon > 1.0 / 3.0 + _PROMISE_TOL:
-        raise ParameterError(
-            f"alpha * epsilon must be at most 1/3, got {alpha * epsilon}"
-        )
-    value = _transcript_fold(adversary, 1, 1, alpha)
-    bound = 1.0 + alpha * (alpha - 1.0) * epsilon * epsilon
-    if value > bound + 1e-12:
-        raise BoundViolation(
-            f"Bernoulli E-value {value} exceeded certified bound {bound}"
-        )
-    return value
 
 
 def enumerate_transcripts(

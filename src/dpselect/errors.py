@@ -19,7 +19,3 @@ class LedgerError(RuntimeError):
 
 class HaltedError(RuntimeError):
     """A budgeted session has stopped and can take no further queries."""
-
-
-class BoundViolation(ArithmeticError):
-    """A quantity certified to satisfy an analytic bound failed to."""

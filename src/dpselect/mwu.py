@@ -3,10 +3,10 @@
 A public histogram over a finite universe guesses each query's answer; the
 sparse-vector session privately checks whether the guess is within alpha of
 the sample mean.  Agreement costs nothing on the TOP budget.  Disagreement
-releases a noisy sample mean, re-checks it at alpha/2 (with a few redraws),
-and multiplies the histogram toward the released value, so the number of
-paid rounds is governed by the learner's mistake bound ln|X| / alpha**2
-rather than by the query count.
+releases a noisy sample mean, re-checks it at alpha/2 (with up to three
+redraws), and multiplies the histogram toward the released value, so the
+number of paid rounds is governed by the learner's mistake bound
+ln|X| / alpha**2 rather than by the query count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from .noise import RandomStream, sample_laplace
 from .svt import RepetitiveSvt, SvtConfig, SvtQuery, svt_params
 
 _BISECTION_TOL = 1e-9
-DEFAULT_FIXED_POINT_CONSTANT = 40.0
+_FIXED_POINT_CONSTANT = 40.0
+_REDRAW_LIMIT = 3
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,7 @@ def as_query_values(query, universe_size: int) -> np.ndarray:
 
 
 def uniform_histogram(universe_size: int) -> np.ndarray:
-    if not (isinstance(universe_size, int) and universe_size >= 2):
-        raise ParameterError(f"universe size must be at least 2, got {universe_size}")
+    _check_universe_size(universe_size)
     return np.full(universe_size, 1.0 / universe_size)
 
 
@@ -81,15 +81,15 @@ def solve_alpha(
     epsilon: float,
     delta: float,
     beta: float,
-    constant: float = DEFAULT_FIXED_POINT_CONSTANT,
 ) -> float:
     """Smallest alpha in (0, 1) with alpha >= C * (A / alpha + B), by bisection.
 
     A = sqrt(ln|X| ln(1/delta)) * ln(m) / (n * eps) couples the accuracy to
     the update budget ln|X| / alpha**2; B = ln(1/beta) / (n * eps) is the
-    per-query confidence term.  The right-hand side falls in alpha, so the
-    feasible set is an interval and bisection to 1e-9 finds its left edge.
-    Raises InfeasibleParameters when even alpha -> 1 cannot satisfy it.
+    per-query confidence term, and C = 40.  The right-hand side falls in
+    alpha, so the feasible set is an interval and bisection to 1e-9 finds its
+    left edge.  Raises InfeasibleParameters when even alpha -> 1 cannot
+    satisfy it.
     """
     _check_universe_size(universe_size)
     if not (isinstance(n, int) and n >= 1):
@@ -102,8 +102,6 @@ def solve_alpha(
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
     if not 0 < beta < 1:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    if not constant > 0:
-        raise ParameterError(f"constant must be positive, got {constant}")
 
     budget_term = (
         math.sqrt(math.log(universe_size) * math.log(1.0 / delta))
@@ -113,7 +111,7 @@ def solve_alpha(
     confidence_term = math.log(1.0 / beta) / (n * epsilon)
 
     def slack(alpha: float) -> float:
-        return alpha - constant * (budget_term / alpha + confidence_term)
+        return alpha - _FIXED_POINT_CONSTANT * (budget_term / alpha + confidence_term)
 
     high = 1.0
     if slack(high) < 0:
@@ -137,16 +135,17 @@ def sample_size_for_accuracy(
     epsilon: float,
     delta: float,
     beta: float,
-    constant: float = DEFAULT_FIXED_POINT_CONSTANT,
 ) -> int:
-    """Smallest n whose solved fixed point reaches the target alpha."""
+    """Smallest n whose solved fixed point (C = 40) reaches the target alpha."""
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     budget_term = (
         math.sqrt(math.log(universe_size) * math.log(1.0 / delta)) * math.log(m) / epsilon
     )
     confidence_term = math.log(1.0 / beta) / epsilon
-    return math.ceil(constant * (budget_term / alpha**2 + confidence_term / alpha))
+    return math.ceil(
+        _FIXED_POINT_CONSTANT * (budget_term / alpha**2 + confidence_term / alpha)
+    )
 
 
 @dataclass(frozen=True)
@@ -159,14 +158,12 @@ class MwuConfig:
     epsilon: float
     delta: float
     beta: float
-    constant: float
     alpha: float
     k: int
     eta: float
     svt: SvtConfig
     svt_m: int
     svt_beta: float
-    redraw_limit: int = 3
 
 
 def make_mwu_config(
@@ -176,7 +173,6 @@ def make_mwu_config(
     epsilon: float,
     delta: float,
     beta: float,
-    constant: float = DEFAULT_FIXED_POINT_CONSTANT,
     alpha_override: float | None = None,
 ) -> MwuConfig:
     """Solve alpha and derive the update budget and SVT recipe.
@@ -189,7 +185,7 @@ def make_mwu_config(
     """
     _check_universe_size(universe_size)
     if alpha_override is None:
-        alpha = solve_alpha(universe_size, n, m, epsilon, delta, beta, constant)
+        alpha = solve_alpha(universe_size, n, m, epsilon, delta, beta)
     else:
         if not 0 < alpha_override < 1:
             raise ParameterError(f"alpha_override must lie in (0, 1), got {alpha_override}")
@@ -205,7 +201,6 @@ def make_mwu_config(
         epsilon=epsilon,
         delta=delta,
         beta=beta,
-        constant=constant,
         alpha=alpha,
         k=k,
         eta=alpha / 2.0,
@@ -224,8 +219,7 @@ class MwuSession:
     k'; a halted session raises HaltedError on every further query.
     """
 
-    def __init__(self, config: MwuConfig, dataset: Dataset, stream: RandomStream,
-                 mode: str = "auto"):
+    def __init__(self, config: MwuConfig, dataset: Dataset, stream: RandomStream):
         records = np.asarray(dataset.fetch(), dtype=int)
         if records.size != config.n:
             raise ParameterError(
@@ -236,7 +230,7 @@ class MwuSession:
         self.config = config
         self.dataset = dataset
         self.state = core.init(config.svt.gamma, dataset, stream)
-        self._svt = RepetitiveSvt(config.svt, self.state, mode=mode)
+        self._svt = RepetitiveSvt(config.svt, self.state)
         self.weights = uniform_histogram(config.universe_size)
         self.update_rounds = 0
         self.release_count = 0
@@ -289,7 +283,7 @@ class MwuSession:
         self.update_rounds += 1
         scale = self.config.svt.sensitivity / self.config.svt.epsilon_prime
         released = 0.0
-        for _ in range(1 + self.config.redraw_limit):
+        for _ in range(1 + _REDRAW_LIMIT):
             exact = float(self._frequencies @ values)
             self.dataset.fetch()
             released = exact + sample_laplace(self.state.stream, scale)

@@ -137,14 +137,14 @@ def exponential_mechanism(
     if scores.ndim != 1 or scores.size == 0:
         raise ParameterError("scores must be a nonempty vector")
     logits = scores * (epsilon / (2.0 * sensitivity))
-    logits -= logits.max()
-    weights = np.exp(logits)
-    total = weights.sum()
-    # The largest weight is 1, so the sum is at least 1 unless a score was
-    # NaN or +inf, which would leave the draw below meaningless.
-    if not math.isfinite(total):
+    # A NaN, a +inf or all -inf scores make the max non-finite; past this
+    # check every weight lies in [0, 1] and the largest is 1.
+    top = logits.max()
+    if not math.isfinite(top):
         raise ParameterError("scores must be finite")
-    probabilities = weights / total
+    logits -= top
+    weights = np.exp(logits)
+    probabilities = weights / weights.sum()
     # Inverse-CDF draw from one uniform: the same index and stream position
     # as ``generator.choice(scores.size, p=probabilities)``, without its
     # per-call validation of the probability vector.

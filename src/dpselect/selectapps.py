@@ -27,6 +27,7 @@ from .noise import (
 )
 
 _GAMMA_MATCH_TOL = 1e-12
+_CORRECTION_CONSTANT = 30.0
 
 
 @functools.total_ordering
@@ -178,7 +179,6 @@ def topk_select(
     beta: float,
     dataset: Dataset,
     stream: RandomStream,
-    correction_constant: float = 30.0,
     budget_cap: int | None = None,
 ) -> TopkResult:
     """Select k indices with a certified optimality gap, (epsilon, delta)-DP end to end.
@@ -188,9 +188,9 @@ def topk_select(
     noise plus a 13 * ln(1/beta) / epsilon margin, and the gated median
     boost keeps the best-certified draw.  When beta < delta the run is
     retargeted at confidence delta/10 and a certificate above
-    correction_constant * (sqrt(k ln(1/delta)) ln m + ln(1/beta)) / epsilon
-    is repaired with the exact (non-private) answer, which also covers the
-    vanishing chance that no repetition fired.
+    30 * (sqrt(k ln(1/delta)) ln m + ln(1/beta)) / epsilon is repaired with
+    the exact (non-private) answer, which also covers the vanishing chance
+    that no repetition fired.  Raises ParameterError if a score is not finite.
     """
     m = len(family)
     if not (isinstance(k, int) and 1 <= k < m):
@@ -207,10 +207,15 @@ def topk_select(
     beta_run = delta / 10.0 if correcting else beta
     round_epsilon = epsilon / (40.0 * math.sqrt(k * math.log(1.0 / delta_run)))
     margin = 13.0 * math.log(1.0 / beta_run) / epsilon
-    # The scores cannot change within one selection, so they are read on the
-    # first fired run (never, if no coin fires) and shared by every later run
-    # and by the fallback.
-    read_scores = functools.cache(family.evaluate_all)
+    # The scores cannot change within one selection, so they are read and
+    # checked on the first fired run (never, if no coin fires) and shared by
+    # every later run and by the fallback.
+    @functools.cache
+    def read_scores(ds: Dataset) -> np.ndarray:
+        scores = family.evaluate_all(ds)
+        if not np.all(np.isfinite(scores)):
+            raise ParameterError("scores must be finite")
+        return scores
 
     def base_run(ds: Dataset, run_stream: RandomStream) -> ScoredCandidate:
         scores = read_scores(ds)
@@ -234,7 +239,7 @@ def topk_select(
     selected = better_than_median(base, config, state)
 
     threshold = (
-        correction_constant
+        _CORRECTION_CONSTANT
         * (math.sqrt(k * math.log(1.0 / delta_run)) * math.log(m) + math.log(1.0 / beta_run))
         / epsilon
     )
@@ -396,7 +401,6 @@ def query_release_amplified(
     epsilon: float,
     delta: float,
     state: FrameworkState,
-    correction_constant: float = 30.0,
     budget_cap: int | None = None,
 ) -> ReleaseResult:
     """Boost a cheap certified query-release base to near-best accuracy.
@@ -404,9 +408,9 @@ def query_release_amplified(
     The base must declare at most (epsilon/3, delta**2/10) and return an
     (answers, certificate) pair per run; the gated median boost at
     confidence delta/10 keeps the best-certified run.  A certificate above
-    correction_constant * (sqrt(k ln(1/delta)) + ln(1/delta)) / epsilon, or
-    an empty selection, falls back to the exact answers, which stays inside
-    the delta budget because both events have vanishing probability.
+    30 * (sqrt(k ln(1/delta)) + ln(1/delta)) / epsilon, or an empty
+    selection, falls back to the exact answers, which stays inside the delta
+    budget because both events have vanishing probability.
     """
     if not queries:
         raise ParameterError("query release needs at least one query")
@@ -441,7 +445,7 @@ def query_release_amplified(
 
     log_term = math.log(1.0 / delta)
     threshold = (
-        correction_constant * (math.sqrt(k * log_term) + log_term) / epsilon
+        _CORRECTION_CONSTANT * (math.sqrt(k * log_term) + log_term) / epsilon
     )
     if selected is EMPTY or selected.payload[1] > threshold:
         exact = np.array([f(state.dataset) for f in queries], dtype=float)

@@ -117,12 +117,11 @@ def above_hypothesis(
     threshold: float,
     epsilon_prime: float,
     sensitivity: float,
-    exact_gate: bool = True,
 ) -> Hypothesis:
     """TOP iff evaluator(D) + Lap(sensitivity/epsilon') >= threshold.
 
-    ``exact_gate`` attaches the closed-form TOP probability so long all-BOT
-    batches can be resolved analytically; disable it to force per-coin runs.
+    The closed-form TOP probability is attached so long all-BOT batches can
+    be resolved analytically.
     """
     if not epsilon_prime > 0:
         raise ParameterError(f"epsilon_prime must be positive, got {epsilon_prime}")
@@ -135,11 +134,7 @@ def above_hypothesis(
     def top_probability(dataset: Dataset) -> float:
         return _laplace_upper_tail(threshold - evaluator(dataset), scale)
 
-    return Hypothesis(
-        run=run,
-        epsilon=epsilon_prime,
-        top_probability=top_probability if exact_gate else None,
-    )
+    return Hypothesis(run=run, epsilon=epsilon_prime, top_probability=top_probability)
 
 
 def below_hypothesis(
@@ -148,7 +143,6 @@ def below_hypothesis(
     d: float,
     epsilon_prime: float,
     sensitivity: float,
-    exact_gate: bool = True,
 ) -> Hypothesis:
     """TOP iff evaluator(D) + Lap(sensitivity/epsilon') <= threshold - d."""
     if not epsilon_prime > 0:
@@ -164,31 +158,19 @@ def below_hypothesis(
     def top_probability(dataset: Dataset) -> float:
         return 1.0 - _laplace_upper_tail(threshold - d - evaluator(dataset), scale)
 
-    return Hypothesis(
-        run=run,
-        epsilon=epsilon_prime,
-        top_probability=top_probability if exact_gate else None,
-    )
+    return Hypothesis(run=run, epsilon=epsilon_prime, top_probability=top_probability)
 
 
 class RepetitiveSvt:
-    """Answer a stream of threshold queries under one global TOP budget.
+    """Answer a stream of threshold queries under one global TOP budget."""
 
-    ``mode`` chooses how all-BOT batches are resolved: "auto" uses the
-    hypotheses' exact gate oracles, "scalar" runs every coin individually
-    (the reference path audits are run against).
-    """
-
-    def __init__(self, config: SvtConfig, state: FrameworkState, mode: str = "auto"):
-        if mode not in ("auto", "scalar"):
-            raise ParameterError(f"mode must be 'auto' or 'scalar', got {mode}")
+    def __init__(self, config: SvtConfig, state: FrameworkState):
         if state.gamma != config.gamma:
             raise ParameterError(
                 f"state gamma {state.gamma} does not match config gamma {config.gamma}"
             )
         self.config = config
         self.state = state
-        self.mode = mode
         self.charged = 0
         self.halted = False
 
@@ -200,7 +182,6 @@ class RepetitiveSvt:
         """
         if self.halted:
             raise HaltedError("TOP budget exhausted, session halted")
-        exact = self.mode == "auto"
         above = True
         while True:
             if above:
@@ -209,7 +190,6 @@ class RepetitiveSvt:
                     query.threshold,
                     self.config.epsilon_prime,
                     self.config.sensitivity,
-                    exact_gate=exact,
                 )
             else:
                 hypothesis = below_hypothesis(
@@ -218,7 +198,6 @@ class RepetitiveSvt:
                     self.config.d,
                     self.config.epsilon_prime,
                     self.config.sensitivity,
-                    exact_gate=exact,
                 )
             if self.state.test_batch(hypothesis, self.config.tau):
                 return BOT if above else TOP
@@ -233,14 +212,13 @@ def repetitive_svt(
     queries: Iterable[SvtQuery],
     config: SvtConfig,
     state: FrameworkState,
-    mode: str = "auto",
 ) -> Iterator[SvtResponse]:
     """Yield settled responses until the queries or the TOP budget run out.
 
     A budget halt ends the stream early without a response for the query in
     flight, so the response stream can be strictly shorter than the input.
     """
-    session = RepetitiveSvt(config, state, mode)
+    session = RepetitiveSvt(config, state)
     for index, query in enumerate(queries):
         try:
             verdict = session.process(query)

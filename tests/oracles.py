@@ -100,6 +100,25 @@ def pair_is_valid(p: float, q: float, epsilon: float, tol: float = 1e-12) -> boo
     )
 
 
+def run_coin_game(b: int, epsilon: float, k: int, pairs, generator) -> list:
+    """Play the coin game with hidden bit b until k ones or the schedule ends.
+
+    Round i flips Ber(p_i) when b = 0 and Ber(q_i) when b = 1, as
+    ``generator.random() < chance``; a pair that breaks the closeness promise
+    aborts the game with ValueError before its coin is flipped.
+    """
+    transcript, ones = [], 0
+    for p, q in pairs:
+        if not pair_is_valid(p, q, epsilon):
+            raise ValueError(f"pair ({p}, {q}) breaks the promise at eps={epsilon}")
+        outcome = int(generator.random() < (p if b == 0 else q))
+        transcript.append(outcome)
+        ones += outcome
+        if ones == k:
+            break
+    return transcript
+
+
 def median_boost_budget(alpha: float, beta: float) -> int:
     if alpha == 1:
         return math.ceil(2.0 / beta)

@@ -6,6 +6,7 @@ contract values, not scaled-down smoke numbers; the module tests carry the
 fine-grained cases, this file answers "does the toolkit hold its bounds".
 """
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -18,7 +19,7 @@ import oracles
 from conftest import CountingMechanism, make_dataset
 from dpselect import cli, core
 from dpselect.coingame import (
-    bernoulli_renyi_check,
+    DeterministicAdversary,
     exact_renyi,
     random_valid_schedule,
     transcript_max_log_ratio,
@@ -132,15 +133,16 @@ def test_criterion_05_bernoulli_bound_grid():
         for p in np.arange(0.1, 0.95, 0.1):
             q = p * math.exp(-epsilon)
             try:
-                value = bernoulli_renyi_check(float(p), q, epsilon, alpha)
+                single = DeterministicAdversary.from_probabilities([(float(p), q)], epsilon)
             except PromiseViolation:
                 outside.append((round(float(p), 1), epsilon))
                 continue
+            value = exact_renyi(single, alpha)
             bound = 1.0 + alpha * (alpha - 1.0) * epsilon**2
             assert value <= bound + 1e-12
             held += 1
-    # the check refuses points whose complement side breaks the two-sided
-    # promise (p above 1/(1+e^-eps)); those are outside its precondition
+    # the schedule refuses points whose complement side breaks the two-sided
+    # promise (p above 1/(1+e^-eps)); those are outside the bound's precondition
     predicted = [
         (round(float(p), 1), epsilon)
         for epsilon in (0.05, 0.1, 0.2)
@@ -272,7 +274,7 @@ def _randomized_response(epsilon: float):
 def _audit_scenarios():
     epsilon = 0.3
     above = above_hypothesis(_sum_evaluator, 0.5, epsilon, 1.0)
-    above_seq = above_hypothesis(_sum_evaluator, 0.5, epsilon, 1.0, exact_gate=False)
+    above_seq = dataclasses.replace(above, top_probability=None)
     below = below_hypothesis(_sum_evaluator, 0.5, 2.0, epsilon, 1.0)
     rr = Mechanism(_randomized_response(0.4), epsilon=0.4)
 

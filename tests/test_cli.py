@@ -201,7 +201,7 @@ def test_svt_bench_reads_query_files(tmp_path):
     assert cli.main(["svt-bench", "--config", str(config)]) == 2
 
 
-def test_topk_bench_reads_score_tables(tmp_path):
+def test_topk_bench_reads_score_tables(tmp_path, capsys):
     table = tmp_path / "scores.csv"
     table.write_text("100.0\n50.0\n1.0\n0.5\n")
     code, text = run_cli(
@@ -222,6 +222,15 @@ def test_topk_bench_reads_score_tables(tmp_path):
     wide.write_text("100.0\n50.0,7.0\n1.0\n")
     config.write_text(json.dumps({"table_file": str(wide)}))
     assert cli.main(["topk-bench", "--config", str(config)]) == 2
+    nan = tmp_path / "nan.csv"
+    nan.write_text("1.0\nnan\n3.0\n2.0\n5.0\n4.0\n")
+    config.write_text(json.dumps({"table_file": str(nan), "budget_cap": 1}))
+    capsys.readouterr()
+    # the one trial at seed 5 fires no coin, so only the read of the scores
+    # can refuse the NaN
+    args = ["topk-bench", "--config", str(config), "--trials", "1", "--seed", "5"]
+    assert cli.main(args) == 2
+    assert "scores must be finite" in capsys.readouterr().err
 
 
 def test_mwu_bench_emits_per_query_rows(tmp_path):

@@ -10,12 +10,10 @@ import oracles
 from dpselect.coingame import (
     DeterministicAdversary,
     QueryPair,
-    bernoulli_renyi_check,
     enumerate_transcripts,
     exact_max_divergence,
     exact_renyi,
     random_valid_schedule,
-    run_coin_game,
     transcript_max_log_ratio,
     transcript_renyi,
 )
@@ -56,20 +54,23 @@ def test_pair_rejects_probabilities_outside_unit_interval():
 
 
 def test_game_certain_coin_halts_immediately():
-    transcript = run_coin_game(0, 0.1, 1, [(1.0, 1.0)], RandomStream(0))
+    transcript = oracles.run_coin_game(0, 0.1, 1, [(1.0, 1.0)], np.random.default_rng(0))
     assert transcript == [1]
 
 
 def test_game_aborts_on_violating_pair():
-    with pytest.raises(PromiseViolation):
-        run_coin_game(0, 0.1, 1, [(0.5, 0.45), (0.9, 0.2)], RandomStream(0))
+    with pytest.raises(ValueError, match="promise"):
+        oracles.run_coin_game(0, 0.1, 1, [(0.5, 0.45), (0.9, 0.2)], np.random.default_rng(0))
 
 
 def test_game_halting_round_is_geometric():
     # constant fair coin: halting round is Geometric(1/2) truncated at 12
     pairs = [(0.5, 0.5)] * 12
     rounds = np.array(
-        [len(run_coin_game(0, 0.1, 1, pairs, RandomStream(i))) for i in range(20_000)]
+        [
+            len(oracles.run_coin_game(0, 0.1, 1, pairs, np.random.default_rng(i)))
+            for i in range(20_000)
+        ]
     )
     observed = np.bincount(rounds, minlength=13)[1:]
     expected = np.array([20_000 * 0.5**r for r in range(1, 12)] + [20_000 * 0.5**11])
@@ -78,13 +79,17 @@ def test_game_halting_round_is_geometric():
 
 def test_game_bits_agree_when_p_equals_q():
     pairs = [(0.3, 0.3)] * 6
-    zeros = [len(run_coin_game(0, 0.1, 1, pairs, RandomStream(i))) for i in range(4_000)]
-    ones = [len(run_coin_game(1, 0.1, 1, pairs, RandomStream(10_000 + i))) for i in range(4_000)]
+
+    def rounds(b, seed):
+        return len(oracles.run_coin_game(b, 0.1, 1, pairs, np.random.default_rng(seed)))
+
+    zeros = [rounds(0, i) for i in range(4_000)]
+    ones = [rounds(1, 10_000 + i) for i in range(4_000)]
     assert stats.ks_2samp(zeros, ones).pvalue > 1e-3
 
 
 def test_game_k_successes_stops_at_kth_one():
-    transcript = run_coin_game(0, 0.1, 2, [(1.0, 1.0)] * 5, RandomStream(0))
+    transcript = oracles.run_coin_game(0, 0.1, 2, [(1.0, 1.0)] * 5, np.random.default_rng(0))
     assert transcript == [1, 1]
 
 
@@ -223,21 +228,19 @@ def test_raising_one_q_alone_can_backfire():
     assert after > before
 
 
-def test_bernoulli_check_examples():
-    assert bernoulli_renyi_check(0.5, 0.5, 0.1, 2.0) == pytest.approx(1.0, abs=1e-12)
-    value = bernoulli_renyi_check(0.5, 0.5 * math.exp(-0.1), 0.1, 2.0)
+def test_one_pair_renyi_examples():
+    assert exact_renyi(adversary([(0.5, 0.5)], 0.1), 2.0) == pytest.approx(1.0, abs=1e-12)
+    value = exact_renyi(adversary([(0.5, 0.5 * math.exp(-0.1))], 0.1), 2.0)
     assert value == pytest.approx(oracles.E_VALUE_BERNOULLI_EXAMPLE, abs=1e-12)
     assert value <= 1.0 + 2.0 * 1.0 * 0.01
 
 
-def test_bernoulli_check_guards_its_regime():
+def test_one_pair_renyi_refusals():
     with pytest.raises(ParameterError):
-        bernoulli_renyi_check(0.5, 0.45, 0.2, 2.0)  # alpha * eps > 1/3
-    with pytest.raises(ParameterError):
-        bernoulli_renyi_check(0.5, 0.45, 0.1, 1.0)
+        exact_renyi(adversary([(0.5, 0.45)], 0.1), 1.0)
     # past p = 1/(1 + e^-eps) the two-sided promise itself fails
     with pytest.raises(PromiseViolation):
-        bernoulli_renyi_check(0.6, 0.6 * math.exp(-0.1), 0.1, 2.0)
+        adversary([(0.6, 0.6 * math.exp(-0.1))], 0.1)
 
 
 def test_enumeration_masses_sum_to_one():

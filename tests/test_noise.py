@@ -209,6 +209,6 @@ def test_exponential_mechanism_validation():
         exponential_mechanism(RandomStream(0), np.array([1.0]), 0.0, 1.0)
     with pytest.raises(ParameterError):
         exponential_mechanism(RandomStream(0), np.array([1.0]), 1.0, 0.0)
-    for bad in (np.nan, np.inf):
+    for bad in ([1.0, np.nan], [1.0, np.inf], [-np.inf, -np.inf]):
         with pytest.raises(ParameterError, match="finite"):
-            exponential_mechanism(RandomStream(0), np.array([1.0, bad]), 1.0, 1.0)
+            exponential_mechanism(RandomStream(0), np.array(bad), 1.0, 1.0)

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import forced_state, make_dataset
-from dpselect import core
+from dpselect import core, selectapps
 from dpselect.core import EMPTY, Dataset, Mechanism
 from dpselect.errors import ParameterError
 from dpselect.noise import RandomStream, TruncatedLaplaceParams
@@ -216,7 +216,7 @@ def test_topk_certificate_is_loose_at_large_beta():
     assert undershoots >= 1
 
 
-def test_topk_reads_the_scores_once():
+def test_topk_reads_the_scores_once(monkeypatch):
     # Every fired run and the fallback share one read of the m scores; a
     # budget of one often fires nothing, a zero correction constant makes
     # the correcting run (beta < delta) fall back after its fired runs.
@@ -226,14 +226,26 @@ def test_topk_reads_the_scores_once():
     outcomes = set()
     for i in range(40):
         cap, beta, constant = [(1, 0.1, 30.0), (50, 0.1, 30.0), (50, 1e-4, 0.0)][i % 3]
+        monkeypatch.setattr(selectapps, "_CORRECTION_CONSTANT", constant)
         ds = Dataset(records)
         result = topk_select(
-            family, 2, 0.9, 0.05, beta, ds, RandomStream(i),
-            correction_constant=constant, budget_cap=cap,
+            family, 2, 0.9, 0.05, beta, ds, RandomStream(i), budget_cap=cap
         )
         assert ds.access_count == m
         outcomes.add((cap, result.fallback))
     assert outcomes == {(1, False), (1, True), (50, False), (50, True)}
+
+
+def test_topk_refuses_non_finite_scores():
+    # a NaN is refused where the scores are read, whether or not a coin
+    # fires, instead of reaching the fallback's exact top-k and certificate
+    records = np.array([1.0, np.nan, 3.0, 2.0])
+    family = ScoreFamily.from_table(4)
+    for i in range(10):
+        with pytest.raises(ParameterError, match="scores must be finite"):
+            topk_select(
+                family, 2, 0.9, 0.05, 0.1, Dataset(records), RandomStream(i), budget_cap=1
+            )
 
 
 def test_topk_correction_mode_caps_the_certificate():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import forced_state, make_dataset
-from dpselect import core
+from dpselect import core, svt
 from dpselect.core import BOT, TOP, Dataset
 from dpselect.errors import HaltedError, ParameterError
 from dpselect.noise import RandomStream
@@ -23,11 +24,22 @@ def constant_query(value: float, threshold: float) -> SvtQuery:
     return SvtQuery(evaluator=lambda d: value, threshold=threshold)
 
 
-def make_session(config, p=None, seed=0, mode="auto", records=None):
+def make_session(config, p=None, seed=0, records=None):
     state = core.init(config.gamma, make_dataset(records), RandomStream(seed))
     if p is not None:
         state.p = p
-    return RepetitiveSvt(config, state, mode=mode), state
+    return RepetitiveSvt(config, state), state
+
+
+def run_every_coin(monkeypatch):
+    """Drop the SVT hypotheses' top_probability, so batches run coin by coin."""
+    for name in ("above_hypothesis", "below_hypothesis"):
+        build = getattr(svt, name)
+
+        def scalar(*args, _build=build):
+            return dataclasses.replace(_build(*args), top_probability=None)
+
+        monkeypatch.setattr(svt, name, scalar)
 
 
 def test_params_worked_example():
@@ -144,11 +156,8 @@ def test_hypothesis_validation():
         below_hypothesis(lambda d: 0.0, 0.0, -1.0, 0.5, 1.0)
 
 
-def test_session_validates_mode_and_gamma():
+def test_session_validates_gamma():
     config = svt_params(1.0, 1e-6, 1, 8, 0.06)
-    state = core.init(config.gamma, make_dataset(), RandomStream(0))
-    with pytest.raises(ParameterError):
-        RepetitiveSvt(config, state, mode="vectorized")
     wrong = core.init(1.0, make_dataset(), RandomStream(0))
     with pytest.raises(ParameterError):
         RepetitiveSvt(config, wrong)
@@ -214,24 +223,25 @@ def test_process_after_halt_raises():
         session.process(constant_query(-100.0, 0.0))
 
 
-def test_scalar_mode_touches_data_at_most_tau_per_batch():
+def test_scalar_mode_touches_data_at_most_tau_per_batch(monkeypatch):
+    run_every_coin(monkeypatch)
     config = svt_params(1.0, 1e-6, 1, 4, 0.2)
-    session, state = make_session(config, mode="scalar", seed=5)
+    session, state = make_session(config, seed=5)
     for _ in range(3):
         session.process(constant_query(-100.0, 0.0))
     batches = 3 + session.charged
     assert state.dataset.access_count <= config.tau * batches
 
 
-def test_scalar_and_auto_modes_agree_in_law():
+def test_scalar_and_auto_modes_agree_in_law(monkeypatch):
     # the analytic batch collapse must be distributionally invisible
     config = svt_params(1.0, 1e-6, 1, 4, 0.2)
     query = constant_query(-config.d / 2.0, 0.0)  # dead centre of the gap
 
-    def outcomes(mode, base_seed, sessions=3_000):
+    def outcomes(base_seed, sessions=3_000):
         tally = {"BOT": 0, "TOP": 0, "charges": 0}
         for i in range(sessions):
-            session, _ = make_session(config, seed=base_seed + i, mode=mode)
+            session, _ = make_session(config, seed=base_seed + i)
             try:
                 verdict = session.process(query)
                 tally["BOT" if verdict is BOT else "TOP"] += 1
@@ -240,8 +250,10 @@ def test_scalar_and_auto_modes_agree_in_law():
             tally["charges"] += session.charged
         return tally
 
-    auto = outcomes("auto", 10_000)
-    scalar = outcomes("scalar", 50_000)
+    auto = outcomes(10_000)
+    with monkeypatch.context() as patch:
+        run_every_coin(patch)
+        scalar = outcomes(50_000)
     for key in ("BOT", "TOP"):
         a, s = auto[key], scalar[key]
         pooled = (a + s) / 2.0
