@@ -30,6 +30,8 @@ from .errors import ParameterError, PromiseViolation
 from .noise import RandomStream
 
 _PROMISE_TOL = 1e-12
+_Q_LOW = 0.05
+_Q_HIGH = 0.95
 
 
 @dataclass(frozen=True)
@@ -228,24 +230,20 @@ def random_valid_schedule(
     stream: RandomStream,
     length: int,
     epsilon: float,
-    q_low: float = 0.05,
-    q_high: float = 0.95,
 ) -> DeterministicAdversary:
     """Sample a schedule of promise-respecting pairs, uniform within bounds.
 
-    Each round draws q in [q_low, q_high] and then p uniformly between q and
-    the largest value both closeness inequalities allow.
+    Each round draws q uniformly in [0.05, 0.95] and then p uniformly between
+    q and the largest value both closeness inequalities allow.
     """
     if not (isinstance(length, int) and length >= 1):
         raise ParameterError(f"length must be a positive integer, got {length}")
-    if not 0 < q_low <= q_high < 1:
-        raise ParameterError("q bounds must satisfy 0 < q_low <= q_high < 1")
     generator = stream.generator
     grow = math.exp(epsilon)
     shrink = math.exp(-epsilon)
     pairs = []
     for _ in range(length):
-        q = q_low + (q_high - q_low) * generator.random()
+        q = _Q_LOW + (_Q_HIGH - _Q_LOW) * generator.random()
         p_cap = min(grow * q, 1.0 - (1.0 - q) * shrink)
         p = q + (p_cap - q) * generator.random()
         pairs.append((p, q))

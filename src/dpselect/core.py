@@ -197,7 +197,7 @@ class FrameworkState:
         generator = self.stream.generator
         best = None
         for mechanism in mechanisms:
-            fired = int((generator.random(tau) < self.p).sum())
+            fired = int(generator.binomial(tau, self.p))  # how many of tau Ber(p) coins fire
             for _ in range(fired):
                 value = mechanism.run(self.dataset, self.stream)
                 if best is None or value > best:

@@ -74,6 +74,18 @@ def _check_universe_size(universe_size: int) -> None:
         raise ParameterError(f"universe size must be at least 2, got {universe_size}")
 
 
+def _check_problem(universe_size: int, m: int, epsilon: float, delta: float, beta: float) -> None:
+    _check_universe_size(universe_size)
+    if not (isinstance(m, int) and m >= 2):
+        raise ParameterError(f"m must be an integer of at least 2, got {m}")
+    if not epsilon > 0:
+        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < delta < 1:
+        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+    if not 0 < beta < 1:
+        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
+
+
 def solve_alpha(
     universe_size: int,
     n: int,
@@ -91,17 +103,9 @@ def solve_alpha(
     left edge.  Raises InfeasibleParameters when even alpha -> 1 cannot
     satisfy it.
     """
-    _check_universe_size(universe_size)
+    _check_problem(universe_size, m, epsilon, delta, beta)
     if not (isinstance(n, int) and n >= 1):
         raise ParameterError(f"n must be a positive integer, got {n}")
-    if not (isinstance(m, int) and m >= 2):
-        raise ParameterError(f"m must be an integer of at least 2, got {m}")
-    if not epsilon > 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    if not 0 < beta < 1:
-        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
 
     budget_term = (
         math.sqrt(math.log(universe_size) * math.log(1.0 / delta))
@@ -139,6 +143,7 @@ def sample_size_for_accuracy(
     """Smallest n whose solved fixed point (C = 40) reaches the target alpha."""
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_problem(universe_size, m, epsilon, delta, beta)
     budget_term = (
         math.sqrt(math.log(universe_size) * math.log(1.0 / delta)) * math.log(m) / epsilon
     )

@@ -5,6 +5,7 @@ derivation of a quantity the library also computes, so agreement between
 the two is evidence rather than tautology.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -191,3 +192,21 @@ SVT_EXAMPLE = {
     "k_prime": 21,
 }
 ALPHA_EXAMPLE_CLOSED = 0.1386576017545306
+
+
+def peeled_set_law(scores, epsilon: float, sensitivity: float, k: int) -> dict:
+    """Exact law of the k-set picked one index at a time without replacement.
+
+    Each pick takes a remaining index with probability proportional to
+    exp(epsilon * score / (2 * sensitivity)); the law of the set sums the
+    probabilities of its k! pick orders.
+    """
+    weights = [math.exp(epsilon * s / (2.0 * sensitivity)) for s in scores]
+    law = {}
+    for order in itertools.permutations(range(len(weights)), k):
+        mass, left = 1.0, sum(weights)
+        for i in order:
+            mass *= weights[i] / left
+            left -= weights[i]
+        law[frozenset(order)] = law.get(frozenset(order), 0.0) + mass
+    return law

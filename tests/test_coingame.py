@@ -373,5 +373,3 @@ def test_random_schedule_respects_promise(seed, length):
 def test_random_schedule_validates_inputs():
     with pytest.raises(ParameterError):
         random_valid_schedule(RandomStream(0), 0, 0.3)
-    with pytest.raises(ParameterError):
-        random_valid_schedule(RandomStream(0), 3, 0.3, q_low=0.0)

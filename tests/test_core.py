@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,18 @@ def test_selection_run_counts_are_binomial():
     mean = total / trials
     sigma = math.sqrt(tau * p * (1 - p) / trials)
     assert abs(mean - tau * p) < 4 * sigma
+
+
+def test_selection_memory_does_not_grow_with_tau():
+    state = forced_state(p=0.0)
+    counter = CountingMechanism(epsilon=0.1)
+    tracemalloc.start()
+    try:
+        assert state.selection(10**6, [counter.mechanism]) is EMPTY
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_selection_runs_every_mechanism_independently():

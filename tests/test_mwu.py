@@ -118,6 +118,14 @@ def test_sample_size_brackets_the_target():
     assert n == 48_029
     assert solve_alpha(64, n, 500, 1.0, 1e-6, 1e-2) <= 0.2
     assert solve_alpha(64, n - 1, 500, 1.0, 1e-6, 1e-2) > 0.2
+    for bad in [
+        (0.2, 64, 500, 1.0, 0.0, 1e-2),
+        (0.2, 64, 500, 0.0, 1e-6, 1e-2),
+        (0.2, 1, 500, 1.0, 1e-6, 1e-2),
+        (0.2, 64, 500, 1.0, 1e-6, 2.0),
+    ]:
+        with pytest.raises(ParameterError):
+            sample_size_for_accuracy(*bad)
 
 
 def test_config_derivations():

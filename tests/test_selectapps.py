@@ -1,14 +1,16 @@
+import collections
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from conftest import forced_state, make_dataset
 from dpselect import core, selectapps
 from dpselect.core import EMPTY, Dataset, Mechanism
 from dpselect.errors import ParameterError
-from dpselect.noise import RandomStream, TruncatedLaplaceParams
+from dpselect.noise import RandomStream, TruncatedLaplaceParams, exponential_mechanism
 from dpselect.selectapps import (
     BtmConfig,
     ScoreFamily,
@@ -234,6 +236,43 @@ def test_topk_reads_the_scores_once(monkeypatch):
         assert ds.access_count == m
         outcomes.add((cap, result.fallback))
     assert outcomes == {(1, False), (1, True), (50, False), (50, True)}
+
+
+def test_topk_fired_run_has_the_peeling_law():
+    # At budget_cap=1 and beta >= delta nothing is corrected, so a result
+    # without fallback is the k-set of exactly one fired base run.
+    scores = np.array([0.0, 100.0, 200.0, 300.0, 400.0])
+    family = ScoreFamily.from_table(5, sensitivity=2.0)
+    epsilon, delta, beta, k = 0.9, 0.5, 0.5, 2
+    round_epsilon = epsilon / (40.0 * math.sqrt(k * math.log(1.0 / delta)))
+    law = oracles.peeled_set_law(scores, round_epsilon, 2.0, k)
+    sets = list(law)
+
+    def p_value(draws):
+        counts = collections.Counter(draws)
+        observed = np.array([counts[s] for s in sets])
+        expected = np.array([law[s] for s in sets]) * len(draws)
+        return stats.chisquare(observed, expected).pvalue
+
+    stream = RandomStream(2024)
+    peeled = []
+    for _ in range(10_000):
+        remaining, chosen = list(range(5)), []
+        for _ in range(k):
+            pick = exponential_mechanism(stream, scores[remaining], round_epsilon, 2.0)
+            chosen.append(remaining.pop(pick))
+        peeled.append(frozenset(chosen))
+    assert p_value(peeled) > 1e-3
+
+    fired = []
+    for i in range(20_000):
+        result = topk_select(
+            family, k, epsilon, delta, beta, Dataset(scores), RandomStream(i), budget_cap=1
+        )
+        if not result.fallback:
+            fired.append(result.indices)
+    assert len(fired) > 9_000
+    assert p_value(fired) > 1e-3
 
 
 def test_topk_refuses_non_finite_scores():
