@@ -260,7 +260,6 @@ def _run_topk_bench(config: dict, trials: int, stream: RandomStream, pure_dp: bo
     dataset = Dataset(scores_table)
     order = np.argsort(-scores_table, kind="stable")
     true_top = set(int(i) for i in order[:k])
-    failures = 0
     for trial in range(trials):
         result = topk_select(
             family,
@@ -273,12 +272,9 @@ def _run_topk_bench(config: dict, trials: int, stream: RandomStream, pure_dp: bo
             budget_cap=config["budget_cap"],
         )
         overlap = len(result.indices & true_top) / k
-        if overlap < 1.0:
-            failures += 1
         rows.append((trial, "overlap", overlap, f"fallback={int(result.fallback)}"))
         rows.append((trial, "certificate", result.certificate, ""))
         rows.append((trial, "epsilon_spent", result.cost.epsilon, ""))
-    rows.append((-1, "failure_rate", failures / trials, "aggregate"))
     return rows, 0
 
 

@@ -74,13 +74,18 @@ class Mechanism:
     """A randomized map from dataset to an ordered output value.
 
     ``run`` receives the dataset and a stream; ``epsilon``/``delta`` are the
-    declared privacy parameters of one run.  The framework never inspects
-    the body, only the declaration.
+    declared privacy parameters of one run.  ``batch``, when given, gets the
+    dataset, the stream and a count of at least 1, and must return an output
+    with the law of the best (by ``>``) of ``count`` independent runs of
+    ``run``, in memory that does not grow with ``count``; ``selection`` then
+    calls it once with the fired count instead.  The framework never
+    inspects either body, only the declaration.
     """
 
     run: Callable[[Dataset, RandomStream], Any]
     epsilon: float
     delta: float = 0.0
+    batch: Callable[[Dataset, RandomStream, int], Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -198,6 +203,10 @@ class FrameworkState:
         best = None
         for mechanism in mechanisms:
             fired = int(generator.binomial(tau, self.p))  # how many of tau Ber(p) coins fire
+            if mechanism.batch is not None and fired:
+                value = mechanism.batch(self.dataset, self.stream, fired)
+                best = value if best is None or value > best else best
+                continue
             for _ in range(fired):
                 value = mechanism.run(self.dataset, self.stream)
                 if best is None or value > best:

@@ -27,6 +27,7 @@ from .noise import (
 
 _GAMMA_MATCH_TOL = 1e-12
 _CORRECTION_CONSTANT = 30.0
+_BLOCK_ENTRIES = 2**13  # scores per block of top-k runs; bounds a batch's memory
 
 
 @functools.total_ordering
@@ -216,20 +217,29 @@ def topk_select(
             raise ParameterError("scores must be finite")
         return scores
 
-    def base_run(ds: Dataset, run_stream: RandomStream) -> ScoredCandidate:
+    def base_runs(ds: Dataset, run_stream: RandomStream, count: int) -> ScoredCandidate:
+        # Each row of a block is one base run.  -log E is standard Gumbel noise, so
+        # the k smallest of log E - logits peel k exponential-mechanism picks.
         scores = read_scores(ds)
-        # The k largest Gumbel-perturbed logits peel k exponential-mechanism picks.
-        noisy = scores * (round_epsilon / (2.0 * family.sensitivity))
-        noisy += run_stream.generator.gumbel(size=m)
-        chosen = np.argpartition(noisy, -k)[-k:].tolist()
-        certificate = (
-            gap(chosen, scores)
-            + sample_laplace(run_stream, 6.0 / epsilon)
-            + margin
-        )
-        return ScoredCandidate((frozenset(chosen), certificate), -certificate)
+        logits = scores * (round_epsilon / (2.0 * family.sensitivity))
+        leaders = np.argpartition(scores, m - k - 1)[m - k - 1:]  # the k + 1 best scores
+        rows, best = max(1, _BLOCK_ENTRIES // m), None
+        for start in range(0, count, rows):
+            noisy = np.log(run_stream.generator.standard_exponential((min(rows, count - start), m)))
+            chosen = np.argpartition(noisy - logits, k - 1, axis=1)[:, :k]
+            kept = np.zeros(noisy.shape, dtype=bool)
+            kept[np.arange(len(kept))[:, None], chosen] = True
+            # The best score a set leaves out is that of a leader it leaves out.
+            gaps = np.where(kept[:, leaders], -np.inf, scores[leaders]).max(axis=1)
+            gaps -= scores[chosen].min(axis=1)
+            certificates = gaps + sample_laplace(run_stream, 6.0 / epsilon, len(gaps)) + margin
+            row = int(certificates.argmin())
+            if best is None or certificates[row] < best[1]:
+                best = (chosen[row].tolist(), float(certificates[row]))
+        return ScoredCandidate((frozenset(best[0]), best[1]), -best[1])
 
-    base = Mechanism(run=base_run, epsilon=epsilon / 3.0, delta=delta_run**2 / 10.0)
+    base = Mechanism(functools.partial(base_runs, count=1), epsilon / 3.0,
+                     delta_run**2 / 10.0, batch=base_runs)
     state = core.init(1.0, dataset, stream)
     config = BtmConfig(alpha=1.0, beta=delta_run / 10.0, budget_cap=budget_cap)
     selected = better_than_median(base, config, state)

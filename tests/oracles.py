@@ -210,3 +210,26 @@ def peeled_set_law(scores, epsilon: float, sensitivity: float, k: int) -> dict:
             left -= weights[i]
         law[frozenset(order)] = law.get(frozenset(order), 0.0) + mass
     return law
+
+
+def best_topk_run(generator, scores, k, logit_scale, laplace_scale, margin, count, rows, gap):
+    """Best-certified (k-set, certificate) of ``count`` top-k base runs, run by run.
+
+    Runs are drawn in blocks of ``rows``: a block's standard Gumbel matrix
+    (the negated log of standard exponentials), then its Laplace vector.
+    Each run keeps the k largest of its perturbed logits by a full sort and
+    is scored by ``gap`` (the caller's scalar gap function) plus its Laplace
+    draw plus ``margin``; the first run with the lowest certificate wins.
+    """
+    scores = np.asarray(scores, dtype=float)
+    best = None
+    for start in range(0, count, rows):
+        size = min(rows, count - start)
+        gumbel = -np.log(generator.standard_exponential((size, scores.size)))
+        laplace = generator.laplace(0.0, laplace_scale, size)
+        for noise, lap in zip(gumbel, laplace):
+            chosen = [int(i) for i in np.argsort(-(scores * logit_scale + noise))[:k]]
+            certificate = gap(chosen, scores) + float(lap) + margin
+            if best is None or certificate < best[1]:
+                best = (frozenset(chosen), certificate)
+    return best

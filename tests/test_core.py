@@ -108,6 +108,35 @@ def test_selection_memory_does_not_grow_with_tau():
     assert peak < 2**20
 
 
+def test_selection_hands_the_fired_count_to_batch():
+    # On one seed, a batch body gets the count of runs the loop path makes
+    # (no call when it is 0), and a run-only mechanism beside it is still
+    # run once per fired coin.
+    def batching(counts):
+        def batch(dataset, run_stream, count):
+            counts.append(count)
+            return float(count)
+
+        return Mechanism(run=lambda d, s: pytest.fail("run called"), epsilon=0.1, batch=batch)
+
+    seen = set()
+    for seed in range(60):
+        looped = [CountingMechanism(epsilon=0.1) for _ in range(2)]
+        forced_state(p=0.3, seed=seed).selection(3, [c.mechanism for c in looped])
+        counts, beside = [], CountingMechanism(epsilon=0.1)
+        best = forced_state(p=0.3, seed=seed).selection(3, [batching(counts), beside.mechanism])
+        fired = looped[0].calls
+        assert counts == ([fired] if fired else [])
+        assert beside.calls == looped[1].calls
+        assert best == (float(fired) if fired else 1.0 if beside.calls else EMPTY)
+        seen.add(fired)
+    assert seen == {0, 1, 2, 3}
+
+    counts = []
+    assert forced_state(p=0.0).selection(10**6, [batching(counts)]) is EMPTY
+    assert counts == []
+
+
 def test_selection_runs_every_mechanism_independently():
     state = forced_state(p=1.0)
     counters = [CountingMechanism(value=float(i), epsilon=0.1) for i in range(3)]

@@ -1,5 +1,6 @@
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,22 @@ from dpselect.selectapps import (
     tlap_release_baseline,
     topk_select,
 )
+
+
+def topk_base(monkeypatch, scores, k, epsilon, delta, beta, sensitivity=1.0):
+    """The base mechanism that topk_select boosts, captured from one call."""
+    captured = []
+    boost = selectapps.better_than_median
+
+    def capture(base, config, state):
+        captured.append(base)
+        return boost(base, config, state)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(selectapps, "better_than_median", capture)
+        family = ScoreFamily.from_table(len(scores), sensitivity=sensitivity)
+        topk_select(family, k, epsilon, delta, beta, Dataset(scores), RandomStream(0), budget_cap=1)
+    return captured[0]
 
 
 def uniform_score_base(epsilon=0.05):
@@ -238,7 +255,7 @@ def test_topk_reads_the_scores_once(monkeypatch):
     assert outcomes == {(1, False), (1, True), (50, False), (50, True)}
 
 
-def test_topk_fired_run_has_the_peeling_law():
+def test_topk_fired_run_has_the_peeling_law(monkeypatch):
     # At budget_cap=1 and beta >= delta nothing is corrected, so a result
     # without fallback is the k-set of exactly one fired base run.
     scores = np.array([0.0, 100.0, 200.0, 300.0, 400.0])
@@ -273,6 +290,84 @@ def test_topk_fired_run_has_the_peeling_law():
             fired.append(result.indices)
     assert len(fired) > 9_000
     assert p_value(fired) > 1e-3
+
+    # One batch call of count runs has the law of the best of count runs.
+    base = topk_base(monkeypatch, scores, k, epsilon, delta, beta, sensitivity=2.0)
+    count, trials = 3, 4_000
+    batched = collections.Counter(
+        base.batch(Dataset(scores), RandomStream(i), count).payload[0] for i in range(trials)
+    )
+    looped = collections.Counter(
+        max(base.run(Dataset(scores), RandomStream(i).split(j)) for j in range(count)).payload[0]
+        for i in range(trials)
+    )
+    table = np.array([[batched[s], looped[s]] for s in sets if batched[s] + looped[s] >= 10])
+    assert table.sum() > 0.99 * 2 * trials
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("lift", [0.0, 1e4])
+def test_topk_batch_matches_the_row_by_row_reference(monkeypatch, lift):
+    # topk-bench defaults, and a lifted top 5 that most runs keep exactly;
+    # 300 runs cross a block boundary
+    m, k, epsilon, delta, beta = 40, 5, 0.9, 1e-4, 0.2
+    scores = np.arange(m, dtype=float)
+    scores[[3, 11, 17, 29, 36]] += lift
+    base = topk_base(monkeypatch, scores, k, epsilon, delta, beta)
+    round_epsilon = epsilon / (40.0 * math.sqrt(k * math.log(1.0 / delta)))
+    margin = 13.0 * math.log(1.0 / beta) / epsilon
+    rows = selectapps._BLOCK_ENTRIES // m
+    assert 7 < rows < 300
+    for count in (1, 7, 300):
+        for seed in range(5):
+            expected = oracles.best_topk_run(
+                RandomStream(seed).generator, scores, k, round_epsilon / 2.0,
+                6.0 / epsilon, margin, count, rows, gap,
+            )
+            result = base.batch(Dataset(scores), RandomStream(seed), count)
+            assert result.payload == expected
+            assert result.score == -expected[1]
+            assert all(isinstance(i, int) for i in result.payload[0])
+            if count == 1:
+                assert base.run(Dataset(scores), RandomStream(seed)).payload == expected
+
+
+def test_topk_runs_uncapped_at_the_cli_defaults():
+    # delta = 1e-4 gives the median boost 200,000 gated repetitions
+    m, k = 40, 5
+    assert BtmConfig(1.0, 1e-4 / 10.0).budget == 200_000
+    family = ScoreFamily.from_table(m)
+    for seed in range(3):
+        result = topk_select(
+            family, k, 0.9, 1e-4, 0.2, Dataset(np.arange(m, dtype=float)), RandomStream(seed)
+        )
+        assert len(result.indices) == k
+        assert all(isinstance(i, int) and 0 <= i < m for i in result.indices)
+        assert math.isfinite(result.certificate)
+
+
+def test_topk_memory_does_not_grow_with_fired_runs(monkeypatch):
+    # With the gate forced open all 200,000 repetitions fire.
+    monkeypatch.setattr(core, "sample_pass_probability", lambda stream, gamma: 1.0)
+    drawn = []
+    laplace = selectapps.sample_laplace
+
+    def counting_laplace(stream, scale, size=None):
+        drawn.append(size)
+        return laplace(stream, scale, size)
+
+    monkeypatch.setattr(selectapps, "sample_laplace", counting_laplace)
+    family = ScoreFamily.from_table(40)
+    dataset = Dataset(np.arange(40, dtype=float))
+    tracemalloc.start()
+    try:
+        result = topk_select(family, 5, 0.9, 1e-4, 0.2, dataset, RandomStream(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(drawn) == 200_000
+    assert not result.fallback
+    assert peak < 2**20
 
 
 def test_topk_refuses_non_finite_scores():
