@@ -38,7 +38,8 @@ class LinearQuery:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ParameterError("query values must form a nonempty vector")
-        if not np.all(np.isfinite(values)) or values.min() < 0 or values.max() > 1:
+        # NaN fails both comparisons and an infinity fails one.
+        if not (values.min() >= 0 and values.max() <= 1):
             raise ParameterError("query values must lie in [0, 1]")
         object.__setattr__(self, "values", values)
 
@@ -251,22 +252,16 @@ class MwuSession:
     def halted(self) -> bool:
         return self._svt.halted
 
-    def _sample_mean(self, values: np.ndarray) -> Callable[[Dataset], float]:
-        def evaluate(ds: Dataset) -> float:
-            ds.fetch()
-            return float(self._frequencies @ values)
-
-        return evaluate
-
-    def _within(self, values: np.ndarray, center: float, radius: float) -> bool:
+    def _within(self, mean: float, center: float, radius: float) -> bool:
         """Two one-sided SVT checks of |sample mean - center| <= radius."""
-        mean = self._sample_mean(values)
 
         def above(ds: Dataset) -> float:
-            return mean(ds) - center
+            ds.fetch()
+            return mean - center
 
         def below(ds: Dataset) -> float:
-            return center - mean(ds)
+            ds.fetch()
+            return center - mean
 
         if self._svt.process(SvtQuery(above, radius)) is not BOT:
             return False
@@ -278,8 +273,9 @@ class MwuSession:
             raise HaltedError("session halted, no further queries")
         values = as_query_values(query, self.config.universe_size)
         guess = float(self.weights @ values)
+        mean = float(self._frequencies @ values)
         self.queries_answered += 1
-        if self._within(values, guess, self.config.alpha):
+        if self._within(mean, guess, self.config.alpha):
             return min(max(guess, 0.0), 1.0)
 
         if self.update_rounds >= self.config.svt.k_prime:
@@ -289,11 +285,10 @@ class MwuSession:
         scale = self.config.svt.sensitivity / self.config.svt.epsilon_prime
         released = 0.0
         for _ in range(1 + _REDRAW_LIMIT):
-            exact = float(self._frequencies @ values)
             self.dataset.fetch()
-            released = exact + sample_laplace(self.state.stream, scale)
+            released = mean + sample_laplace(self.state.stream, scale)
             self.release_count += 1
-            if self._within(values, released, self.config.alpha / 2.0):
+            if self._within(mean, released, self.config.alpha / 2.0):
                 break
         direction = 1.0 if released >= guess else -1.0
         self.weights = mwu_update(self.weights, values, direction, self.config.eta)
@@ -427,18 +422,22 @@ def adaptive_harness(
 ) -> HarnessReport:
     """Sample fresh data per trial and race an adversary against an answerer.
 
-    Per trial: draw n records from ``probabilities``, let the adversary
+    Per trial: draw n iid records from ``probabilities``, let the adversary
     issue m adaptive queries, and record the worst empirical and population
-    error of the answers.  Each query is validated once, as a LinearQuery,
-    and handed to the answerer in that form.  A halted answerer ends its
-    trial early with the errors collected so far.
+    error of the answers.  The records are drawn as one multinomial count
+    vector, the law of the multiset of n iid draws, and laid out sorted.
+    Each query is validated once, as a LinearQuery, and handed to the
+    answerer in that form.  A halted answerer ends its trial early with the
+    errors collected so far.
     """
     probabilities = np.asarray(probabilities, dtype=float)
-    if probabilities.ndim != 1 or abs(probabilities.sum() - 1.0) > 1e-9:
+    if probabilities.ndim != 1 or not abs(probabilities.sum() - 1.0) <= 1e-9:
         raise ParameterError("probabilities must form a distribution")
-    if probabilities.min() < 0:
+    if not probabilities.min() >= 0:
         raise ParameterError("probabilities must be nonnegative")
     universe_size = probabilities.size
+    # multinomial refuses a vector whose sum exceeds 1 by more than 1e-12.
+    draw_probabilities = probabilities / probabilities.sum()
     population_errors = np.zeros(trials)
     empirical_errors = np.zeros(trials)
     update_rounds = np.zeros(trials, dtype=int)
@@ -446,11 +445,9 @@ def adaptive_harness(
     rows: list = []
     for trial in range(trials):
         trial_stream = stream.split(trial)
-        records = trial_stream.split(0).generator.choice(
-            universe_size, size=n, p=probabilities
-        )
-        frequencies = np.bincount(records, minlength=universe_size) / n
-        dataset = Dataset(records)
+        counts = trial_stream.split(0).generator.multinomial(n, draw_probabilities)
+        truths = np.stack([probabilities, counts / n])
+        dataset = Dataset(np.repeat(np.arange(universe_size), counts))
         answerer = answerer_factory(dataset, trial_stream.split(1))
         adversary = adversary_factory(universe_size, trial_stream.split(2))
         worst_population = 0.0
@@ -466,8 +463,7 @@ def adaptive_harness(
                 halted[trial] = True
                 break
             adversary.observe(answer)
-            population_truth = float(probabilities @ values)
-            empirical_truth = float(frequencies @ values)
+            population_truth, empirical_truth = (truths @ values).tolist()
             worst_population = max(worst_population, abs(answer - population_truth))
             worst_empirical = max(worst_empirical, abs(answer - empirical_truth))
             if keep_rows:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import stats
 
 import oracles
 from dpselect.core import Dataset
@@ -142,8 +143,9 @@ def test_config_derivations():
 
 
 def test_query_value_validation():
-    with pytest.raises(ParameterError):
-        LinearQuery(np.array([0.5, 1.2]))
+    for bad in ([0.5, 1.2], [-0.1, 0.5], [0.5, np.nan], [0.2, np.inf], [-np.inf, 0.3]):
+        with pytest.raises(ParameterError):
+            LinearQuery(np.array(bad))
     with pytest.raises(ParameterError):
         LinearQuery(np.zeros((2, 2)))
     with pytest.raises(ParameterError):
@@ -257,17 +259,118 @@ def test_fixed_pool_cycles_and_ignores_answers():
     assert pool.next_query() is first
 
 
+def empirical_harness(probabilities, n=10, m=5, trials=1):
+    universe = len(probabilities)
+    return adaptive_harness(
+        np.asarray(probabilities),
+        n,
+        m,
+        lambda u, s: RandomSubsetAdversary(u, s),
+        lambda ds, s: EmpiricalAnswerer(ds, universe),
+        trials=trials,
+        stream=RandomStream(0),
+    )
+
+
 def test_harness_validates_distribution():
-    with pytest.raises(ParameterError):
-        adaptive_harness(
-            np.array([0.5, 0.6]),
-            10,
-            5,
-            lambda u, s: RandomSubsetAdversary(u, s),
-            lambda ds, s: EmpiricalAnswerer(ds, 2),
-            trials=1,
-            stream=RandomStream(0),
-        )
+    for bad in ([0.5, 0.6], [0.5, np.nan], [1.5, -0.5], [np.inf, 0.0]):
+        with pytest.raises(ParameterError):
+            empirical_harness(bad)
+
+
+def test_harness_draws_within_the_sum_tolerance():
+    # sum(p[:-1]) exceeds 1 by 8e-10: inside the harness's 1e-9 tolerance,
+    # outside the 1e-12 that numpy's multinomial allows unnormalised
+    report = empirical_harness([0.5 + 4e-10, 0.5 + 4e-10, 0.0], n=50, trials=3)
+    assert report.empirical_errors.max() <= 1e-12
+
+
+class _ConstantAnswerer:
+    def answer(self, query) -> float:
+        return 0.5
+
+
+def test_harness_records_have_the_sampling_law():
+    probabilities = np.array([0.1, 0.2, 0.3, 0.4])
+    queries = [np.array([1.0, 0.0, 0.5, 0.25]), np.array([0.0, 1.0, 1.0, 0.0])]
+    n = 20
+    m = len(queries)
+    datasets = []
+
+    def answerer(dataset, stream):
+        datasets.append(dataset)
+        return _ConstantAnswerer()
+
+    trials = 4000
+    report = adaptive_harness(
+        probabilities,
+        n,
+        m,
+        lambda u, s: FixedPoolAdversary(queries),
+        answerer,
+        trials=trials,
+        stream=RandomStream(9130),
+        keep_rows=True,
+    )
+    assert len(datasets) == trials
+    assert len(report.rows) == trials * m
+    element_counts = []
+    for trial, dataset in enumerate(datasets):
+        records = np.asarray(dataset.records)
+        assert records.size == n
+        assert records.min() >= 0 and records.max() < probabilities.size
+        frequencies = np.bincount(records, minlength=probabilities.size) / n
+        rows = report.rows[trial * m : (trial + 1) * m]
+        assert [row[:2] for row in rows] == [(trial, index) for index in range(m)]
+        empirical = [abs(answer - frequencies @ queries[index]) for _, index, answer, *_ in rows]
+        population = [abs(answer - probabilities @ queries[index]) for _, index, answer, *_ in rows]
+        assert abs(max(empirical) - report.empirical_errors[trial]) <= 1e-12
+        assert abs(max(population) - report.population_errors[trial]) <= 1e-12
+        element_counts.append(int(np.sum(records == 1)))
+
+    # element 1's count in a trial is Binomial(n, 0.2); pool the sparse tails
+    observed = np.bincount(element_counts, minlength=n + 1).astype(float)
+    expected = trials * stats.binom.pmf(np.arange(n + 1), n, probabilities[1])
+    low, high = 1, 8
+    observed = np.concatenate(
+        [[observed[: low + 1].sum()], observed[low + 1 : high], [observed[high:].sum()]]
+    )
+    expected = np.concatenate(
+        [[expected[: low + 1].sum()], expected[low + 1 : high], [expected[high:].sum()]]
+    )
+    assert expected.min() >= 5
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+def test_session_updates_and_releases_on_a_skewed_population():
+    # Criterion 10's operating point on a Zipf(1) population, which sits far
+    # from the uniform starting histogram, so the release loop and the
+    # multiplicative update both run.
+    universe = 64
+    n = 48_029
+    m = 500
+    config = make_mwu_config(universe, n, m, 1.0, 1e-6, 1e-2)
+    zipf = 1.0 / np.arange(1, universe + 1)
+    sessions = []
+
+    def answerer(dataset, stream):
+        sessions.append(MwuSession(config, dataset, stream))
+        return sessions[-1]
+
+    report = adaptive_harness(
+        zipf / zipf.sum(),
+        n,
+        m,
+        lambda u, s: RandomSubsetAdversary(u, s),
+        answerer,
+        trials=20,
+        stream=RandomStream(9120),
+    )
+    for session in sessions:
+        assert 1 <= session.update_rounds <= config.svt.k_prime
+        assert session.release_count >= session.update_rounds
+    assert not report.halted.any()
+    assert report.empirical_errors.max() <= config.alpha
 
 
 def test_fixed_queries_sit_at_the_chernoff_scale():
