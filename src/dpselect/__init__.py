@@ -35,7 +35,6 @@ from .noise import (
     RandomStream,
     TruncatedLaplaceParams,
     exponential_mechanism,
-    sample_bernoulli,
     sample_laplace,
     sample_pass_probability,
     sample_truncated_laplace,
@@ -63,7 +62,6 @@ __all__ = [
     "exponential_mechanism",
     "init",
     "pure_dp_cost",
-    "sample_bernoulli",
     "sample_laplace",
     "sample_pass_probability",
     "sample_truncated_laplace",

@@ -148,9 +148,7 @@ def _transcript_fold(
     return halted
 
 
-def exact_renyi(
-    adversary: DeterministicAdversary, alpha: float, horizon: int | None = None
-) -> float:
+def exact_renyi(adversary: DeterministicAdversary, alpha: float) -> float:
     """E-value of the order-alpha divergence of the truncated k = 1 game.
 
     Returns sum_i P_i (P_i / Q_i)^(alpha-1) plus the matching tail term,
@@ -158,18 +156,12 @@ def exact_renyi(
     p mass makes the divergence infinite and is reported as +inf.
     """
     _check_alpha(alpha)
-    horizon = len(adversary) if horizon is None else horizon
-    _check_cap(adversary, horizon, "horizon")
-    return _transcript_fold(adversary, 1, horizon, alpha)
+    return _transcript_fold(adversary, 1, len(adversary), alpha)
 
 
-def exact_max_divergence(
-    adversary: DeterministicAdversary, horizon: int | None = None
-) -> float:
+def exact_max_divergence(adversary: DeterministicAdversary) -> float:
     """Max divergence ln sup_x P(x)/Q(x) of the truncated k = 1 game."""
-    horizon = len(adversary) if horizon is None else horizon
-    _check_cap(adversary, horizon, "horizon")
-    best = _transcript_fold(adversary, 1, horizon, None)
+    best = _transcript_fold(adversary, 1, len(adversary), None)
     return math.log(best) if best > 0 else 0.0
 
 

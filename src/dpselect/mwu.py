@@ -427,14 +427,16 @@ def adaptive_harness(
     error of the answers.  The records are drawn as one multinomial count
     vector, the law of the multiset of n iid draws, and laid out sorted.
     Each query is validated once, as a LinearQuery, and handed to the
-    answerer in that form.  A halted answerer ends its trial early with the
-    errors collected so far.
+    answerer in that form.  A NaN answer counts as an unbounded error.  A
+    halted answerer ends its trial early with the errors collected so far.
     """
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.ndim != 1 or not abs(probabilities.sum() - 1.0) <= 1e-9:
         raise ParameterError("probabilities must form a distribution")
     if not probabilities.min() >= 0:
         raise ParameterError("probabilities must be nonnegative")
+    if not (isinstance(n, int) and n >= 1):
+        raise ParameterError(f"n must be a positive integer, got {n}")
     universe_size = probabilities.size
     # multinomial refuses a vector whose sum exceeds 1 by more than 1e-12.
     draw_probabilities = probabilities / probabilities.sum()
@@ -464,6 +466,8 @@ def adaptive_harness(
                 break
             adversary.observe(answer)
             population_truth, empirical_truth = (truths @ values).tolist()
+            if answer != answer:  # NaN: an unbounded error, which max would skip
+                worst_population = worst_empirical = math.inf
             worst_population = max(worst_population, abs(answer - population_truth))
             worst_empirical = max(worst_empirical, abs(answer - empirical_truth))
             if keep_rows:

@@ -110,14 +110,6 @@ def sample_pass_probability(stream: RandomStream, gamma: float, size: int | None
     return float(value) if size is None else value
 
 
-def sample_bernoulli(stream: RandomStream, p: float, size: int | None = None):
-    """Draw Ber(p) as 0/1.  p = 0 and p = 1 are exact, never approximate."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"p must lie in [0, 1], got {p}")
-    draw = stream.generator.random(size) < p
-    return int(draw) if size is None else draw.astype(np.int64)
-
-
 def exponential_mechanism(
     stream: RandomStream,
     scores,

@@ -158,6 +158,24 @@ class ScoreFamily:
         return cls(tuple(reader(i) for i in range(size)), **kwargs)
 
 
+def _score_reader(family: ScoreFamily) -> Callable[[Dataset], np.ndarray]:
+    """The family's scores for one selection call, read and checked on first use.
+
+    The scores cannot change within one selection, so every fired run and
+    any fallback share one read, and a selection in which no coin fires reads
+    nothing.  Raises ParameterError if a score is not finite.
+    """
+
+    @functools.cache
+    def read(dataset: Dataset) -> np.ndarray:
+        scores = family.evaluate_all(dataset)
+        if not np.all(np.isfinite(scores)):
+            raise ParameterError("scores must be finite")
+        return scores
+
+    return read
+
+
 @dataclass(frozen=True)
 class TopkResult:
     indices: frozenset
@@ -207,15 +225,7 @@ def topk_select(
     beta_run = delta / 10.0 if correcting else beta
     round_epsilon = epsilon / (40.0 * math.sqrt(k * math.log(1.0 / delta_run)))
     margin = 13.0 * math.log(1.0 / beta_run) / epsilon
-    # The scores cannot change within one selection, so they are read and
-    # checked on the first fired run (never, if no coin fires) and shared by
-    # every later run and by the fallback.
-    @functools.cache
-    def read_scores(ds: Dataset) -> np.ndarray:
-        scores = family.evaluate_all(ds)
-        if not np.all(np.isfinite(scores)):
-            raise ParameterError("scores must be finite")
-        return scores
+    read_scores = _score_reader(family)
 
     def base_runs(ds: Dataset, run_stream: RandomStream, count: int) -> ScoredCandidate:
         # Each row of a block is one base run.  -log E is standard Gumbel noise, so
@@ -257,6 +267,42 @@ def topk_select(
     return TopkResult(indices, certificate, False, state.pure_cost())
 
 
+def _noisy_max(read: Callable[[Dataset], np.ndarray], m: int, epsilon: float, delta: float,
+               beta: float, state: FrameworkState, spread: float, repeats: float) -> int | None:
+    """Gated report-noisy-max over the m scores that ``read`` returns.
+
+    Index i runs as read(ds)[i] + TLap(epsilon, beta * delta / (5 * spread)),
+    and ceil(repeats / beta) gated repetitions pick the winner.  ``spread``
+    is the caller's certificate for one neighbouring swap (a choosing
+    family's k_bound, stable selection's 2k moved scores), so the certificate
+    total tau * spread * (beta * delta / (5 * spread)) spreads evenly to a
+    ledger delta of beta * delta / (5m) per index.  Returns None when no
+    repetition fired.
+    """
+    if not 0 < delta < 1:
+        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+    if not 0 < beta < 1:
+        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
+    if abs(state.gamma - 1.0) > _GAMMA_MATCH_TOL:
+        raise ParameterError(f"state gamma must be 1, got {state.gamma}")
+    noise = TruncatedLaplaceParams(epsilon, beta * delta / (5.0 * spread))
+    ledger_delta = beta * delta / (5.0 * m)
+
+    def noisy(index: int) -> Callable[[Dataset, RandomStream], ScoredCandidate]:
+        def run(ds: Dataset, run_stream: RandomStream) -> ScoredCandidate:
+            return ScoredCandidate(
+                index, read(ds)[index] + sample_truncated_laplace(run_stream, noise)
+            )
+
+        return run
+
+    mechanisms = [
+        Mechanism(run=noisy(i), epsilon=epsilon, delta=ledger_delta) for i in range(m)
+    ]
+    selected = state.selection(math.ceil(repeats / beta), mechanisms)
+    return None if selected is EMPTY else selected.payload
+
+
 def choosing_mechanism(
     family: ScoreFamily,
     epsilon: float,
@@ -266,42 +312,17 @@ def choosing_mechanism(
 ) -> int | None:
     """Pick the roughly-best index from a k-bounded family at fixed 3 * epsilon cost.
 
-    Every index is wrapped as a mechanism adding truncated Laplace noise
-    whose delta share leans on the family's k_bound certificate, and one
-    gated selection with ceil(4/beta) repetitions picks the winner.
-    Returns None in the (at most beta/4) event that no repetition fired.
+    Every index is wrapped as a mechanism adding TLap(epsilon,
+    delta * beta / (5 * k_bound)) noise, whose delta share leans on the
+    family's k_bound certificate, and one gated selection with ceil(4/beta)
+    repetitions picks the winner.  Returns None in the (at most beta/4)
+    event that no repetition fired.  Raises ParameterError if a score is not
+    finite.
     """
     if family.k_bound is None:
         raise ParameterError("choosing mechanism needs a family with a k_bound certificate")
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    if not 0 < beta < 1:
-        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    if abs(state.gamma - 1.0) > _GAMMA_MATCH_TOL:
-        raise ParameterError(f"state gamma must be 1, got {state.gamma}")
-    m = len(family)
-    tau = math.ceil(4.0 / beta)
-    noise = TruncatedLaplaceParams(epsilon, delta * beta / (5.0 * family.k_bound))
-    # The ledger sees the certificate-backed total spread evenly: the family
-    # moves by at most k_bound across a neighbouring swap, so the effective
-    # delta mass is tau * k_bound * (delta * beta / (5 k_bound)) / m per index.
-    ledger_delta = beta * delta / (5.0 * m)
-
-    def noisy(index: int) -> Callable[[Dataset, RandomStream], ScoredCandidate]:
-        evaluate = family.evaluators[index]
-
-        def run(ds: Dataset, run_stream: RandomStream) -> ScoredCandidate:
-            return ScoredCandidate(
-                index, evaluate(ds) + sample_truncated_laplace(run_stream, noise)
-            )
-
-        return run
-
-    mechanisms = [
-        Mechanism(run=noisy(i), epsilon=epsilon, delta=ledger_delta) for i in range(m)
-    ]
-    selected = state.selection(tau, mechanisms)
-    return None if selected is EMPTY else selected.payload
+    return _noisy_max(_score_reader(family), len(family), epsilon, delta, beta, state,
+                      spread=family.k_bound, repeats=4.0)
 
 
 def stability_pivot(scores: np.ndarray, k: int) -> float:
@@ -323,43 +344,25 @@ def stable_select(
     """Pick a near-top index of an arbitrary family, paying for stability instead.
 
     Scores are re-centred at the (k+1)-th largest value and clamped at
-    zero, so at most k indices stand out and the rest are indistinguishable
-    between neighbours; ceil(2/beta) gated repetitions then select the
-    winner at total cost epsilon.  Useful answers need the k-th largest
-    score to clear the rest by roughly (10/epsilon) * ln(k/(delta * beta)).
+    zero, so at most k indices stand out and at most 2k clamped scores
+    differ between neighbours; ceil(2/beta) gated repetitions with
+    TLap(epsilon/3, beta * delta / (10k)) noise then select the winner at
+    total cost epsilon.  Useful answers need the k-th largest score to clear
+    the rest by roughly (10/epsilon) * ln(k/(delta * beta)).  Raises
+    ParameterError if a score is not finite.
     """
     m = len(family)
     if not (isinstance(k, int) and 1 <= k < m):
         raise ParameterError(f"k must lie in [1, {m - 1}], got {k}")
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    if not 0 < beta < 1:
-        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    if abs(state.gamma - 1.0) > _GAMMA_MATCH_TOL:
-        raise ParameterError(f"state gamma must be 1, got {state.gamma}")
-    epsilon_prime = epsilon / 3.0
-    tau = math.ceil(2.0 / beta)
-    noise = TruncatedLaplaceParams(epsilon_prime, beta * delta / (10.0 * k))
-    # At most 2k clamped scores can differ between neighbours, so the
-    # certificate total tau * 2k * (beta delta / 10k) spreads to this share.
-    ledger_delta = beta * delta / (5.0 * m)
+    read = _score_reader(family)
 
-    def noisy(index: int) -> Callable[[Dataset, RandomStream], ScoredCandidate]:
-        def run(ds: Dataset, run_stream: RandomStream) -> ScoredCandidate:
-            scores = family.evaluate_all(ds)
-            lifted = max(float(scores[index]) - stability_pivot(scores, k), 0.0)
-            return ScoredCandidate(
-                index, lifted + sample_truncated_laplace(run_stream, noise)
-            )
+    @functools.cache
+    def lifted(ds: Dataset) -> np.ndarray:
+        scores = read(ds)
+        return np.maximum(scores - stability_pivot(scores, k), 0.0)
 
-        return run
-
-    mechanisms = [
-        Mechanism(run=noisy(i), epsilon=epsilon_prime, delta=ledger_delta)
-        for i in range(m)
-    ]
-    selected = state.selection(tau, mechanisms)
-    return None if selected is EMPTY else selected.payload
+    return _noisy_max(lifted, m, epsilon / 3.0, delta, beta, state,
+                      spread=2 * k, repeats=2.0)
 
 
 @dataclass(frozen=True)
@@ -430,8 +433,6 @@ def query_release_amplified(
         raise ParameterError(
             f"base must declare delta at most {delta ** 2 / 10.0}, got {base.delta}"
         )
-    if abs(state.gamma - 1.0) > _GAMMA_MATCH_TOL:
-        raise ParameterError(f"state gamma must be 1, got {state.gamma}")
     k = len(queries)
 
     def scored_run(ds: Dataset, run_stream: RandomStream) -> ScoredCandidate:

@@ -233,3 +233,37 @@ def best_topk_run(generator, scores, k, logit_scale, laplace_scale, margin, coun
             if best is None or certificate < best[1]:
                 best = (frozenset(chosen), certificate)
     return best
+
+
+def noisy_max_per_run(generator, p, tau, m, score, draw):
+    """Gated report-noisy-max in which every fired run computes its own score.
+
+    Index i, in order, fires Binomial(tau, p) runs from ``generator``; each
+    run calls ``score(i)`` afresh and adds ``draw()``, and the first run with
+    the strictly largest noisy score wins.  Returns None when nothing fired.
+    """
+    best = None
+    for index in range(m):
+        for _ in range(int(generator.binomial(tau, p))):
+            value = score(index) + draw()
+            if best is None or value > best[1]:
+                best = (index, value)
+    return None if best is None else best[0]
+
+
+def choosing_per_run(generator, p, tau, evaluators, dataset, draw):
+    """The choosing mechanism's body run by run: one evaluator call per run."""
+    return noisy_max_per_run(
+        generator, p, tau, len(evaluators), lambda i: evaluators[i](dataset), draw
+    )
+
+
+def stable_per_run(generator, p, tau, evaluators, dataset, k, draw):
+    """Stable selection's body run by run: each run reads all m scores and
+    clamps its own at zero after re-centring at the (k+1)-th largest."""
+
+    def lifted(index):
+        scores = [float(f(dataset)) for f in evaluators]
+        return max(scores[index] - sorted(scores)[-(k + 1)], 0.0)
+
+    return noisy_max_per_run(generator, p, tau, len(evaluators), lifted, draw)

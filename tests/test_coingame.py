@@ -100,9 +100,9 @@ def test_exact_renyi_halting_hand_example():
     want = sum(a * a / b for a, b in zip(probs_p, probs_q))
     assert exact_renyi(adv, 2.0) == pytest.approx(want, abs=1e-12)
     assert exact_max_divergence(adv) == pytest.approx(math.log(0.5 / 0.4), abs=1e-12)
-    # at horizon 1 the tail is everything after round one: P = (0.5 | 0.5)
+    # at horizon (cap) 1 the tail is everything after round one: P = (0.5 | 0.5)
     want = 0.5 * 0.5 / 0.4 + 0.5 * 0.5 / 0.6
-    assert exact_renyi(adv, 2.0, 1) == pytest.approx(want, abs=1e-12)
+    assert transcript_renyi(adv, 1, 2.0, 1) == pytest.approx(want, abs=1e-12)
 
 
 def test_exact_renyi_matches_loop_oracle_at_each_horizon():
@@ -118,18 +118,20 @@ def test_exact_renyi_matches_loop_oracle_at_each_horizon():
         outcomes = list(zip(mass_p + [tail_p], mass_q + [tail_q]))
         for alpha in (1.5, 2.0, 3.5):
             want = sum(a * (a / b) ** (alpha - 1.0) for a, b in outcomes)
-            assert exact_renyi(adv, alpha, horizon) == pytest.approx(want, rel=1e-12)
+            assert transcript_renyi(adv, 1, alpha, horizon) == pytest.approx(want, rel=1e-12)
         want = math.log(max(a / b for a, b in outcomes))
-        assert exact_max_divergence(adv, horizon) == pytest.approx(want, rel=1e-12, abs=1e-15)
+        want_max = pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert transcript_max_log_ratio(adv, 1, horizon) == want_max
 
 
 def test_exact_renyi_validates_horizon():
+    # a horizon is the k = 1 game's truncation cap
     adv = adversary([(0.5, 0.45)], 0.2)
     for horizon in (0, 2):
         with pytest.raises(ParameterError):
-            exact_renyi(adv, 2.0, horizon)
+            transcript_renyi(adv, 1, 2.0, horizon)
         with pytest.raises(ParameterError):
-            exact_max_divergence(adv, horizon)
+            transcript_max_log_ratio(adv, 1, horizon)
 
 
 def test_exact_renyi_is_one_when_bits_match():
@@ -179,7 +181,7 @@ def test_exact_renyi_bounded_at_every_horizon():
             for alpha in (1.5, 2.0):
                 bound = 1.0 + 3.0 * alpha * (alpha - 1.0) * epsilon**2
                 for horizon in range(1, 9):
-                    assert exact_renyi(adv, alpha, horizon) <= bound + 1e-12
+                    assert transcript_renyi(adv, 1, alpha, horizon) <= bound + 1e-12
 
 
 def test_max_divergence_bounded_by_epsilon():

@@ -278,6 +278,32 @@ def test_harness_validates_distribution():
             empirical_harness(bad)
 
 
+def test_harness_refuses_a_bad_sample_size():
+    for n in (0, -1, 2.5, 10.0):
+        with pytest.raises(ParameterError, match="n must be a positive integer"):
+            empirical_harness([0.5, 0.5], n=n)
+
+
+class _ScriptedAnswerer:
+    def __init__(self, answers):
+        self._answers = iter(answers)
+
+    def answer(self, query) -> float:
+        return next(self._answers)
+
+
+def test_harness_counts_a_nan_answer_as_unbounded():
+    # max(worst, nan) keeps the old worst, which would report a NaN as no error
+    for script in ([math.nan] * 3, [0.5, math.nan, 0.5]):
+        report = adaptive_harness(
+            np.array([0.5, 0.5]), 10, 3, lambda u, s: RandomSubsetAdversary(u, s),
+            lambda ds, s: _ScriptedAnswerer(script), trials=2, stream=RandomStream(0),
+        )
+        assert report.empirical_errors.tolist() == [math.inf] * 2
+        assert report.population_errors.tolist() == [math.inf] * 2
+        assert report.failure_fraction(0.5) == 1.0
+
+
 def test_harness_draws_within_the_sum_tolerance():
     # sum(p[:-1]) exceeds 1 by 8e-10: inside the harness's 1e-9 tolerance,
     # outside the 1e-12 that numpy's multinomial allows unnormalised

@@ -12,7 +12,6 @@ from dpselect.noise import (
     RandomStream,
     TruncatedLaplaceParams,
     exponential_mechanism,
-    sample_bernoulli,
     sample_laplace,
     sample_pass_probability,
     sample_truncated_laplace,
@@ -138,17 +137,6 @@ def test_pass_probability_rejects_bad_gamma():
 def test_pass_probability_stays_in_unit_interval(gamma, seed):
     value = sample_pass_probability(RandomStream(seed), gamma)
     assert 0.0 <= value <= 1.0
-
-
-def test_bernoulli_edges_and_mean():
-    assert not sample_bernoulli(RandomStream(41), 0.0, size=10_000).any()
-    assert sample_bernoulli(RandomStream(42), 1.0, size=10_000).all()
-    draws = sample_bernoulli(RandomStream(43), 0.3, size=1_000_000)
-    assert abs(draws.mean() - 0.3) < 0.002
-    with pytest.raises(ParameterError):
-        sample_bernoulli(RandomStream(0), 1.5)
-    with pytest.raises(ParameterError):
-        sample_bernoulli(RandomStream(0), -0.1)
 
 
 def test_exponential_mechanism_uniform_on_ties():

@@ -1,4 +1,5 @@
 import collections
+import functools
 import math
 import tracemalloc
 
@@ -11,7 +12,12 @@ from conftest import forced_state, make_dataset
 from dpselect import core, selectapps
 from dpselect.core import EMPTY, Dataset, Mechanism
 from dpselect.errors import ParameterError
-from dpselect.noise import RandomStream, TruncatedLaplaceParams, exponential_mechanism
+from dpselect.noise import (
+    RandomStream,
+    TruncatedLaplaceParams,
+    exponential_mechanism,
+    sample_truncated_laplace,
+)
 from dpselect.selectapps import (
     BtmConfig,
     ScoreFamily,
@@ -474,6 +480,10 @@ def test_stable_reads_nothing_when_no_coin_fires():
     gated_out = forced_state(p=0.0, records=[5.0, 1.0, 0.5, 0.2])
     assert stable_select(ScoreFamily.from_table(4), 1, 0.6, 1e-3, 0.5, gated_out) is None
     assert gated_out.dataset.access_count == 0
+    gated_out = forced_state(p=0.0, records=[5.0, 1.0, 0.5, 0.2])
+    family = ScoreFamily.from_table(4, k_bound=1)
+    assert choosing_mechanism(family, 0.6, 1e-3, 0.5, gated_out) is None
+    assert gated_out.dataset.access_count == 0
 
 
 def test_stable_prefers_far_above_candidate():
@@ -499,6 +509,76 @@ def test_stable_handles_all_equal_scores():
     picked = stable_select(family, 2, 0.6, 1e-3, 0.5, state)
     assert picked in {0, 1, 2, 3}
     assert state.pure_cost().epsilon == pytest.approx(0.6)
+
+
+# The two gated noisy-max applications at beta = 1/4, each on a from-table
+# family of m scores, with the noise and tau their docstrings state.
+NOISY_MAX = {
+    "choosing": (
+        lambda m, state: choosing_mechanism(
+            ScoreFamily.from_table(m, k_bound=2), 0.5, 1e-3, 0.25, state),
+        TruncatedLaplaceParams(0.5, 1e-3 * 0.25 / (5.0 * 2)), 16),
+    "stable": (
+        lambda m, state: stable_select(ScoreFamily.from_table(m), 2, 0.6, 1e-3, 0.25, state),
+        TruncatedLaplaceParams(0.6 / 3.0, 0.25 * 1e-3 / (10.0 * 2)), 8),
+}
+
+
+@pytest.mark.parametrize("p", [1.0, 0.3])
+@pytest.mark.parametrize("name", sorted(NOISY_MAX))
+def test_noisy_max_matches_the_per_run_reference(monkeypatch, name, p):
+    # The same TLap draws in the same order as the old bodies, which called
+    # an evaluator (choosing) or read every score and the pivot (stable) on
+    # each fired run: equal indices, noise, delta mass and final stream position.
+    select, noise, tau = NOISY_MAX[name]
+    drawn = set()
+
+    def recording_sampler(stream, params):
+        drawn.add(params)
+        return sample_truncated_laplace(stream, params)
+
+    monkeypatch.setattr(selectapps, "sample_truncated_laplace", recording_sampler)
+    records = np.linspace(0.0, 12.0, 8)
+    evaluators = ScoreFamily.from_table(records.size).evaluators
+    picks = collections.Counter()
+    for seed in range(200):
+        state = forced_state(p=p, records=records, seed=seed)
+        ref = forced_state(p=p, records=records, seed=seed)
+        draw = functools.partial(sample_truncated_laplace, ref.stream, noise)
+        if name == "choosing":
+            want = oracles.choosing_per_run(
+                ref.stream.generator, p, tau, evaluators, ref.dataset, draw)
+        else:
+            want = oracles.stable_per_run(
+                ref.stream.generator, p, tau, evaluators, ref.dataset, 2, draw)
+        picked = select(records.size, state)
+        assert picked == want
+        assert state.ledger.delta_mass == pytest.approx(tau * 0.25 * 1e-3 / 5.0)
+        assert state.stream.generator.random() == ref.stream.generator.random()
+        picks[picked] += 1
+    assert len(picks) >= 3
+    assert drawn == {noise}
+
+
+@pytest.mark.parametrize("name", sorted(NOISY_MAX))
+def test_noisy_max_reads_the_scores_once(name):
+    # every fired run shares one read of the m scores
+    select = NOISY_MAX[name][0]
+    for seed in range(5):
+        state = forced_state(p=1.0, records=np.linspace(0.0, 3.0, 6), seed=seed)
+        select(6, state)
+        assert state.dataset.access_count == 6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(NOISY_MAX))
+def test_noisy_max_refuses_non_finite_scores(name, bad):
+    # a non-finite score is refused where it is read, not ranked into an index
+    select = NOISY_MAX[name][0]
+    for records in ([1.0, bad, 3.0, 2.0], [bad] * 4):
+        for seed in range(3):
+            with pytest.raises(ParameterError, match="scores must be finite"):
+                select(4, forced_state(p=1.0, records=records, seed=seed))
 
 
 def test_release_baseline_certificate_never_undershoots():
