@@ -339,11 +339,11 @@ def _run_svt_bench(config: dict, trials: int, stream: RandomStream, pure_dp: boo
         state = core.init(params.gamma, dataset, trial_stream.split(1))
         answered = 0
         tops = 0
-        for response in repetitive_svt(queries, params, state):
+        for index, verdict in enumerate(repetitive_svt(queries, params, state)):
             answered += 1
-            is_top = response.verdict is not BOT
-            value = values[response.index]
-            threshold = thresholds[response.index]
+            is_top = verdict is not BOT
+            value = values[index]
+            threshold = thresholds[index]
             if (not is_top and value > threshold) or (
                 is_top and value < threshold - params.d
             ):

@@ -176,10 +176,8 @@ def enumerate_transcripts(
     Exponential in ``cap``: the divergence oracles use the recurrence, and
     this walk is kept as the independent reference they are tested against.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ParameterError(f"k must be a positive integer, got {k}")
-    if not 1 <= cap <= len(adversary):
-        raise ParameterError(f"cap must lie in [1, {len(adversary)}], got {cap}")
+    _check_k(k)
+    _check_cap(adversary, cap, "cap")
     ps = _chances(adversary, 0)
     qs = _chances(adversary, 1)
     probs_p: list[float] = []

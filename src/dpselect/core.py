@@ -117,6 +117,14 @@ class AccountantLedger:
     ``base_epsilon`` is pinned by the first mechanism or hypothesis seen;
     anything declaring a different epsilon is rejected, because the cost
     formulas assume a single per-access epsilon.
+
+    An ungated eps-DP release (the Laplace releases of an MWU session) is
+    charged as one ``top_responses`` unit.  That unit dominates it in both
+    forms the ledger uses: the pure charge 2*eps is at least eps, and the
+    Renyi charge 12*a*eps**2 is at least the a*eps**2/2 that eps-DP implies.
+    The TOP unit also composes at the sqrt rate: with k' SVT charges and k'
+    releases at the ``mwu-adaptive`` operating point, approx_cost(1e-6)
+    reads 11.6 against 13.5 at the linear selection rate.
     """
 
     base_epsilon: float | None = None

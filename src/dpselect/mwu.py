@@ -6,7 +6,8 @@ the sample mean.  Agreement costs nothing on the TOP budget.  Disagreement
 releases a noisy sample mean, re-checks it at alpha/2 (with up to three
 redraws), and multiplies the histogram toward the released value, so the
 number of paid rounds is governed by the learner's mistake bound
-ln|X| / alpha**2 rather than by the query count.
+ln|X| / alpha**2 rather than by the query count.  Every release is charged
+on the session state's ledger as one TOP unit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import core
-from .core import BOT, Dataset, PrivacyCost
+from .core import BOT, Dataset
 from .errors import HaltedError, InfeasibleParameters, ParameterError
 from .noise import RandomStream, sample_laplace
 from .svt import RepetitiveSvt, SvtConfig, SvtQuery, svt_params
@@ -221,17 +222,21 @@ class MwuSession:
 
     ``answer`` returns the public guess when the private checks agree with
     it, otherwise a released (noisy, re-checked) sample mean.  The session
-    halts for good when the TOP budget runs out or the update counter hits
-    k'; a halted session raises HaltedError on every further query.
+    halts for good when the SVT's TOP budget k' runs out; a halted session
+    raises HaltedError on every further query.  Its bill is read from the
+    state's ledger: ``state.pure_cost()`` or ``state.approx_cost(delta)``.
     """
 
     def __init__(self, config: MwuConfig, dataset: Dataset, stream: RandomStream):
-        records = np.asarray(dataset.fetch(), dtype=int)
+        records = np.asarray(dataset.fetch())
         if records.size != config.n:
             raise ParameterError(
                 f"dataset has {records.size} records, config says {config.n}"
             )
-        if records.min() < 0 or records.max() >= config.universe_size:
+        # Test the dtype first: a cast would truncate floats, and min() warns on NaN.
+        if records.dtype.kind not in "iu" or not (
+            records.min() >= 0 and records.max() < config.universe_size
+        ):
             raise ParameterError("records must be universe indices")
         self.config = config
         self.dataset = dataset
@@ -240,7 +245,6 @@ class MwuSession:
         self.weights = uniform_histogram(config.universe_size)
         self.update_rounds = 0
         self.release_count = 0
-        self.queries_answered = 0
         # Frozen empirical frequencies; evaluators still fetch for the
         # access instrumentation, the records themselves cannot change
         # under a live session.
@@ -274,19 +278,22 @@ class MwuSession:
         values = as_query_values(query, self.config.universe_size)
         guess = float(self.weights @ values)
         mean = float(self._frequencies @ values)
-        self.queries_answered += 1
         if self._within(mean, guess, self.config.alpha):
             return min(max(guess, 0.0), 1.0)
 
-        if self.update_rounds >= self.config.svt.k_prime:
-            self._svt.halted = True
-            raise HaltedError("update budget exhausted, session halted")
+        # The SVT budget is the only halt needed: a failed _within settled a
+        # TOP, which charged at least one SVT batch, so update_rounds <=
+        # _svt.charged <= k' and the SVT raises HaltedError at k' first.
         self.update_rounds += 1
-        scale = self.config.svt.sensitivity / self.config.svt.epsilon_prime
+        epsilon_prime = self.config.svt.epsilon_prime
+        scale = self.config.svt.sensitivity / epsilon_prime
         released = 0.0
         for _ in range(1 + _REDRAW_LIMIT):
             self.dataset.fetch()
             released = mean + sample_laplace(self.state.stream, scale)
+            # An epsilon'-DP release is dominated by one TOP unit on the ledger.
+            self.state.ledger.register(epsilon_prime)
+            self.state.ledger.top_responses += 1
             self.release_count += 1
             if self._within(mean, released, self.config.alpha / 2.0):
                 break
@@ -294,19 +301,9 @@ class MwuSession:
         self.weights = mwu_update(self.weights, values, direction, self.config.eta)
         return min(max(released, 0.0), 1.0)
 
-    def privacy_cost(self) -> PrivacyCost:
-        """SVT ledger cost plus two charged units per Laplace release."""
-        base = self.state.pure_cost()
-        extra = 2.0 * self.config.svt.epsilon_prime * self.release_count
-        return PrivacyCost(base.epsilon + extra, base.delta)
-
 
 class EmpiricalAnswerer:
     """Baseline that answers every query with the exact sample mean."""
-
-    update_rounds = 0
-    release_count = 0
-    halted = False
 
     def __init__(self, dataset: Dataset, universe_size: int):
         records = np.asarray(dataset.fetch(), dtype=int)
@@ -405,9 +402,9 @@ class HarnessReport:
     halted: np.ndarray
     rows: list
 
-    def failure_fraction(self, alpha: float, empirical: bool = True) -> float:
-        errors = self.empirical_errors if empirical else self.population_errors
-        return float(np.mean(errors > alpha))
+    def failure_fraction(self, alpha: float) -> float:
+        """Share of trials whose worst empirical error exceeds alpha."""
+        return float(np.mean(self.empirical_errors > alpha))
 
 
 def adaptive_harness(
@@ -435,8 +432,9 @@ def adaptive_harness(
         raise ParameterError("probabilities must form a distribution")
     if not probabilities.min() >= 0:
         raise ParameterError("probabilities must be nonnegative")
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"n must be a positive integer, got {n}")
+    for name, value in (("n", n), ("m", m), ("trials", trials)):
+        if not (isinstance(value, int) and value >= 1):
+            raise ParameterError(f"{name} must be a positive integer, got {value}")
     universe_size = probabilities.size
     # multinomial refuses a vector whose sum exceeds 1 by more than 1e-12.
     draw_probabilities = probabilities / probabilities.sum()

@@ -43,18 +43,6 @@ class SvtQuery:
     threshold: float
 
 
-@dataclass(frozen=True)
-class SvtResponse:
-    """Settled verdict for query ``index``.
-
-    BOT claims the value is at most the threshold (up to the noise margin);
-    TOP claims it is at least threshold - d.
-    """
-
-    index: int
-    verdict: Verdict
-
-
 def svt_params(
     epsilon: float,
     delta: float,
@@ -212,16 +200,18 @@ def repetitive_svt(
     queries: Iterable[SvtQuery],
     config: SvtConfig,
     state: FrameworkState,
-) -> Iterator[SvtResponse]:
-    """Yield settled responses until the queries or the TOP budget run out.
+) -> Iterator[Verdict]:
+    """Yield settled verdicts in query order until the queries or the budget run out.
 
-    A budget halt ends the stream early without a response for the query in
-    flight, so the response stream can be strictly shorter than the input.
+    BOT claims the value is at most the threshold (up to the noise margin);
+    TOP claims it is at least threshold - d.  The i-th verdict answers the
+    i-th query.  A budget halt ends the stream early without a verdict for
+    the query in flight, so the stream can be strictly shorter than the input.
     """
     session = RepetitiveSvt(config, state)
-    for index, query in enumerate(queries):
+    for query in queries:
         try:
             verdict = session.process(query)
         except HaltedError:
             return
-        yield SvtResponse(index=index, verdict=verdict)
+        yield verdict

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import oracles
-from dpselect.core import Dataset
+from dpselect.core import AccountantLedger, Dataset, approx_dp_cost
 from dpselect.errors import HaltedError, InfeasibleParameters, ParameterError
 from dpselect.mwu import (
     EmpiricalAnswerer,
@@ -167,6 +167,12 @@ def test_session_rejects_mismatched_data():
         MwuSession(config, Dataset(np.zeros(50, dtype=int)), RandomStream(0))
     with pytest.raises(ParameterError):
         MwuSession(config, Dataset(np.full(100, 16)), RandomStream(0))
+    # an integer cast would truncate these to valid indices
+    fractional = np.resize([0.5, 1.7, 2.2, 3.9], 100)
+    with_nan = np.append(np.zeros(99), np.nan)
+    for records in (fractional, np.zeros(100), with_nan):
+        with pytest.raises(ParameterError, match="universe indices"):
+            MwuSession(config, Dataset(records), RandomStream(0))
 
 
 def test_exact_histogram_answers_by_guessing():
@@ -178,7 +184,7 @@ def test_exact_histogram_answers_by_guessing():
         assert session.answer(values) == pytest.approx(values.mean(), rel=1e-12)
     assert session.update_rounds == 0
     assert session.release_count == 0
-    cost = session.privacy_cost()
+    cost = session.state.pure_cost()
     assert cost.epsilon == pytest.approx(
         config.svt.gamma * config.svt.epsilon_prime, rel=1e-12
     )
@@ -226,20 +232,31 @@ def test_noise_dominated_session_halts_on_budget():
     session = MwuSession(config, Dataset(records), RandomStream(25))
     spike = np.zeros(16)
     spike[0] = 1.0
-    with pytest.raises(HaltedError):
-        for _ in range(60):
+    for _ in range(60):
+        try:
             session.answer(spike)
+        except HaltedError:
+            break
+        finally:
+            # every update follows a failed check, which charged a batch
+            assert session.update_rounds <= session._svt.charged
     assert session.halted
     assert session._svt.charged == config.svt.k_prime
-    assert session.update_rounds <= config.svt.k_prime
     with pytest.raises(HaltedError):
         session.answer(spike)
-    cost = session.privacy_cost()
-    expected = (
-        2 * config.svt.k_prime + config.svt.gamma
-    ) * config.svt.epsilon_prime + 2.0 * config.svt.epsilon_prime * session.release_count
+    # each Laplace release is one TOP unit on the session's own ledger
+    charged = session._svt.charged + session.release_count
+    assert session.release_count >= session.update_rounds >= 1
+    cost = session.state.pure_cost()
+    expected = (2 * charged + config.svt.gamma) * config.svt.epsilon_prime
     assert cost.epsilon == pytest.approx(expected, rel=1e-12)
     assert cost.delta == 0.0
+    ledger = AccountantLedger(
+        base_epsilon=config.svt.epsilon_prime, top_responses=charged
+    )
+    assert session.state.approx_cost(1e-6) == pytest.approx(
+        approx_dp_cost(ledger, config.svt.gamma, 1e-6), rel=1e-12
+    )
 
 
 def test_empirical_answerer_reports_sample_means():
@@ -279,9 +296,10 @@ def test_harness_validates_distribution():
 
 
 def test_harness_refuses_a_bad_sample_size():
-    for n in (0, -1, 2.5, 10.0):
-        with pytest.raises(ParameterError, match="n must be a positive integer"):
-            empirical_harness([0.5, 0.5], n=n)
+    for name in ("n", "m", "trials"):
+        for bad in (0, -1, 2.5, 10.0):
+            with pytest.raises(ParameterError, match=f"{name} must be a positive integer"):
+                empirical_harness([0.5, 0.5], **{name: bad})
 
 
 class _ScriptedAnswerer:
@@ -417,7 +435,7 @@ def test_fixed_queries_sit_at_the_chernoff_scale():
         stream=RandomStream(31),
     )
     bound = oracles.chernoff_uniform_bound(10_000, 100, 0.01)
-    assert report.failure_fraction(bound, empirical=False) <= 0.05
+    assert np.mean(report.population_errors > bound) <= 0.05
     median = float(np.median(report.population_errors))
     assert 0.2 * bound <= median <= bound
 
