@@ -132,7 +132,7 @@ def _read_rows(path: str, columns: str, minimum: int = 1) -> np.ndarray:
     """
     width = columns.count(",") + 1
     rows = []
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -479,7 +479,7 @@ def _check_override(command: str, key: str, value) -> None:
 def _load_config(command: str, path: str | None) -> dict:
     config = dict(_DEFAULTS[command])
     if path is not None:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             overrides = json.load(handle)
         if not isinstance(overrides, dict):
             raise ParameterError("config file must hold a JSON object")
@@ -516,11 +516,14 @@ def main(argv=None) -> int:
     if trials < 1:
         print("error: --trials must be positive", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
+        return 2
     try:
         config = _load_config(args.command, args.config)
         stream = RandomStream(args.seed)
         rows, failures = _RUNNERS[args.command](config, trials, stream, args.pure_dp)
-    except (ParameterError, OSError, json.JSONDecodeError) as error:
+    except (ParameterError, OSError, json.JSONDecodeError, UnicodeDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     header = {

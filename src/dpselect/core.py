@@ -166,8 +166,6 @@ def approx_dp_cost(
     if c2 == 0:
         return pure_dp_cost(ledger, gamma)
     eps = ledger.base_epsilon or 0.0
-    if eps == 0.0:
-        return PrivacyCost(0.0, delta_target + ledger.delta_mass)
     log_term = math.log(1.0 / delta_target)
     total = (
         2 * ledger.selection_calls * eps

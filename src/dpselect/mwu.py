@@ -24,7 +24,6 @@ from .errors import HaltedError, InfeasibleParameters, ParameterError
 from .noise import RandomStream, sample_laplace
 from .svt import RepetitiveSvt, SvtConfig, SvtQuery, svt_params
 
-_BISECTION_TOL = 1e-9
 _FIXED_POINT_CONSTANT = 40.0
 _REDRAW_LIMIT = 3
 
@@ -76,7 +75,30 @@ def _check_universe_size(universe_size: int) -> None:
         raise ParameterError(f"universe size must be at least 2, got {universe_size}")
 
 
-def _check_problem(universe_size: int, m: int, epsilon: float, delta: float, beta: float) -> None:
+def _check_sample_size(n: int) -> None:
+    if not (isinstance(n, int) and n >= 1):
+        raise ParameterError(f"n must be a positive integer, got {n}")
+
+
+def _check_records(records, universe_size: int) -> np.ndarray:
+    """The records as a nonempty vector of universe indices, else ParameterError."""
+    records = np.asarray(records)
+    # Test the dtype first: a cast would truncate floats, and min() warns on NaN.
+    if not (
+        records.ndim == 1
+        and records.size > 0
+        and records.dtype.kind in "iu"
+        and records.min() >= 0
+        and records.max() < universe_size
+    ):
+        raise ParameterError("records must be a nonempty vector of universe indices")
+    return records
+
+
+def _fixed_point_terms(
+    universe_size: int, m: int, epsilon: float, delta: float, beta: float
+) -> tuple[float, float]:
+    """Check the problem and return n*A and n*B of the fixed point (see solve_alpha)."""
     _check_universe_size(universe_size)
     if not (isinstance(m, int) and m >= 2):
         raise ParameterError(f"m must be an integer of at least 2, got {m}")
@@ -86,6 +108,8 @@ def _check_problem(universe_size: int, m: int, epsilon: float, delta: float, bet
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
     if not 0 < beta < 1:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
+    budget = math.sqrt(math.log(universe_size) * math.log(1.0 / delta)) * math.log(m) / epsilon
+    return budget, math.log(1.0 / beta) / epsilon
 
 
 def solve_alpha(
@@ -96,42 +120,24 @@ def solve_alpha(
     delta: float,
     beta: float,
 ) -> float:
-    """Smallest alpha in (0, 1) with alpha >= C * (A / alpha + B), by bisection.
+    """Smallest alpha in (0, 1) with alpha >= C * (A / alpha + B), in closed form.
 
     A = sqrt(ln|X| ln(1/delta)) * ln(m) / (n * eps) couples the accuracy to
     the update budget ln|X| / alpha**2; B = ln(1/beta) / (n * eps) is the
     per-query confidence term, and C = 40.  The right-hand side falls in
-    alpha, so the feasible set is an interval and bisection to 1e-9 finds its
-    left edge.  Raises InfeasibleParameters when even alpha -> 1 cannot
-    satisfy it.
+    alpha, so the feasible set is [alpha*, inf) for the positive root alpha*
+    of alpha**2 - C*B*alpha - C*A = 0.  Raises InfeasibleParameters when
+    that root exceeds 1.
     """
-    _check_problem(universe_size, m, epsilon, delta, beta)
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"n must be a positive integer, got {n}")
-
-    budget_term = (
-        math.sqrt(math.log(universe_size) * math.log(1.0 / delta))
-        * math.log(m)
-        / (n * epsilon)
-    )
-    confidence_term = math.log(1.0 / beta) / (n * epsilon)
-
-    def slack(alpha: float) -> float:
-        return alpha - _FIXED_POINT_CONSTANT * (budget_term / alpha + confidence_term)
-
-    high = 1.0
-    if slack(high) < 0:
+    budget, confidence = _fixed_point_terms(universe_size, m, epsilon, delta, beta)
+    _check_sample_size(n)
+    cb = _FIXED_POINT_CONSTANT * confidence / n
+    alpha = (cb + math.sqrt(cb * cb + 4.0 * _FIXED_POINT_CONSTANT * budget / n)) / 2.0
+    if alpha > 1.0:
         raise InfeasibleParameters(
             "no alpha in (0, 1) satisfies the fixed point; grow n or epsilon"
         )
-    low = 1e-12
-    while high - low > _BISECTION_TOL:
-        mid = (low + high) / 2.0
-        if slack(mid) >= 0:
-            high = mid
-        else:
-            low = mid
-    return high
+    return alpha
 
 
 def sample_size_for_accuracy(
@@ -145,14 +151,8 @@ def sample_size_for_accuracy(
     """Smallest n whose solved fixed point (C = 40) reaches the target alpha."""
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_problem(universe_size, m, epsilon, delta, beta)
-    budget_term = (
-        math.sqrt(math.log(universe_size) * math.log(1.0 / delta)) * math.log(m) / epsilon
-    )
-    confidence_term = math.log(1.0 / beta) / epsilon
-    return math.ceil(
-        _FIXED_POINT_CONSTANT * (budget_term / alpha**2 + confidence_term / alpha)
-    )
+    budget, confidence = _fixed_point_terms(universe_size, m, epsilon, delta, beta)
+    return math.ceil(_FIXED_POINT_CONSTANT * (budget / alpha**2 + confidence / alpha))
 
 
 @dataclass(frozen=True)
@@ -191,6 +191,7 @@ def make_mwu_config(
     n; everything downstream is derived from the override instead.
     """
     _check_universe_size(universe_size)
+    _check_sample_size(n)
     if alpha_override is None:
         alpha = solve_alpha(universe_size, n, m, epsilon, delta, beta)
     else:
@@ -228,16 +229,11 @@ class MwuSession:
     """
 
     def __init__(self, config: MwuConfig, dataset: Dataset, stream: RandomStream):
-        records = np.asarray(dataset.fetch())
+        records = _check_records(dataset.fetch(), config.universe_size)
         if records.size != config.n:
             raise ParameterError(
                 f"dataset has {records.size} records, config says {config.n}"
             )
-        # Test the dtype first: a cast would truncate floats, and min() warns on NaN.
-        if records.dtype.kind not in "iu" or not (
-            records.min() >= 0 and records.max() < config.universe_size
-        ):
-            raise ParameterError("records must be universe indices")
         self.config = config
         self.dataset = dataset
         self.state = core.init(config.svt.gamma, dataset, stream)
@@ -306,7 +302,7 @@ class EmpiricalAnswerer:
     """Baseline that answers every query with the exact sample mean."""
 
     def __init__(self, dataset: Dataset, universe_size: int):
-        records = np.asarray(dataset.fetch(), dtype=int)
+        records = _check_records(dataset.fetch(), universe_size)
         self.dataset = dataset
         self.universe_size = universe_size
         self._frequencies = np.bincount(records, minlength=universe_size) / records.size

@@ -82,22 +82,15 @@ def sample_truncated_laplace(
 ):
     """Draw from TLap(params) by inverting its CDF.
 
-    Every draw lands inside [-support_radius, +support_radius]; the hard
-    support is what callers rely on for probability-one error certificates.
+    With w = 2u - 1 for a uniform u, the draw is
+    sign(w) * min(-log1p(-|w| * (1 - delta)) / epsilon, support_radius):
+    one quantile formula for both halves.  The clamp keeps every draw inside
+    [-support_radius, +support_radius]; the hard support is what callers
+    rely on for probability-one error certificates.
     """
-    eps = params.epsilon
-    radius = params.support_radius
-    # Unnormalised mass of each half of the density: int_0^R exp(-eps v) dv.
-    half = (1.0 - math.exp(-eps * radius)) / eps
-    w = np.asarray(stream.generator.random(size)) * (2.0 * half)
-    left = w <= half
-    floor = math.exp(-eps * radius)
-    value = np.where(
-        left,
-        np.log(np.maximum(w * eps + floor, floor)) / eps,
-        -np.log(np.maximum(1.0 - eps * (w - half), floor)) / eps,
-    )
-    value = np.clip(value, -radius, radius)
+    w = 2.0 * np.asarray(stream.generator.random(size)) - 1.0
+    magnitude = -np.log1p(-np.abs(w) * (1.0 - params.delta)) / params.epsilon
+    value = np.sign(w) * np.minimum(magnitude, params.support_radius)
     return float(value) if size is None else value
 
 

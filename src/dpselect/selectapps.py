@@ -410,7 +410,6 @@ def query_release_amplified(
     epsilon: float,
     delta: float,
     state: FrameworkState,
-    budget_cap: int | None = None,
 ) -> ReleaseResult:
     """Boost a cheap certified query-release base to near-best accuracy.
 
@@ -447,7 +446,7 @@ def query_release_amplified(
                                -float(certificate))
 
     wrapped = Mechanism(run=scored_run, epsilon=base.epsilon, delta=base.delta)
-    config = BtmConfig(alpha=1.0, beta=delta / 10.0, budget_cap=budget_cap)
+    config = BtmConfig(alpha=1.0, beta=delta / 10.0)
     selected = better_than_median(wrapped, config, state)
 
     log_term = math.log(1.0 / delta)

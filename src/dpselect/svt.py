@@ -68,8 +68,7 @@ def svt_params(
         raise ParameterError(f"m must be an integer of at least 2, got {m}")
     if not sensitivity > 0:
         raise ParameterError(f"sensitivity must be positive, got {sensitivity}")
-    low = 2.0 ** (-m) if m < 1024 else 0.0
-    if not low < beta < 1.0 / m:
+    if not 2.0 ** (-m) < beta < 1.0 / m:
         raise ParameterError(
             f"beta must lie in (2**-{m}, 1/{m}), got {beta}"
         )
@@ -132,21 +131,16 @@ def below_hypothesis(
     epsilon_prime: float,
     sensitivity: float,
 ) -> Hypothesis:
-    """TOP iff evaluator(D) + Lap(sensitivity/epsilon') <= threshold - d."""
-    if not epsilon_prime > 0:
-        raise ParameterError(f"epsilon_prime must be positive, got {epsilon_prime}")
+    """TOP iff evaluator(D) + Lap(sensitivity/epsilon') <= threshold - d.
+
+    Lap is symmetric, so this is the above test of -evaluator(D) at
+    threshold d - threshold, and its TOP probability is one upper tail.
+    """
     if not d >= 0:
         raise ParameterError(f"d must be nonnegative, got {d}")
-    scale = sensitivity / epsilon_prime
-
-    def run(dataset: Dataset, stream: RandomStream) -> Verdict:
-        noisy = evaluator(dataset) + sample_laplace(stream, scale)
-        return TOP if noisy <= threshold - d else BOT
-
-    def top_probability(dataset: Dataset) -> float:
-        return 1.0 - _laplace_upper_tail(threshold - d - evaluator(dataset), scale)
-
-    return Hypothesis(run=run, epsilon=epsilon_prime, top_probability=top_probability)
+    return above_hypothesis(
+        lambda ds: -evaluator(ds), d - threshold, epsilon_prime, sensitivity
+    )
 
 
 class RepetitiveSvt:

@@ -119,6 +119,32 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, command, overrides):
     assert {"universe": "universe size must be at least 2"}.get(key, repr(key)) in err
 
 
+def _assert_refused(capsys, args):
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+def test_negative_seed_exits_2(capsys, command):
+    _assert_refused(capsys, [command, "--seed", "-1", "--trials", "1"])
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_bytes(b'{"length": 8, "note": "\xff"}')
+    _assert_refused(capsys, ["coin-verify", "--config", str(config)])
+
+
+def test_non_utf8_table_exits_2(tmp_path, capsys):
+    table = tmp_path / "scores.csv"
+    table.write_bytes(b"100.0\n50.0\n\xff1.0\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"table_file": str(table)}))
+    _assert_refused(capsys, ["topk-bench", "--config", str(config), "--trials", "1"])
+
+
 def test_missing_config_file_is_rejected(tmp_path):
     assert cli.main(["coin-verify", "--config", str(tmp_path / "absent.json")]) == 2
 

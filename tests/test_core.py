@@ -321,6 +321,13 @@ def test_approx_cost_degenerates_without_tops():
     assert approx == pure
 
 
+def test_approx_cost_at_zero_epsilon_charges_only_delta():
+    ledger = AccountantLedger(top_responses=4, delta_mass=1e-7)
+    ledger.register(0.0)
+    ledger.selection_calls = 2
+    assert core.approx_dp_cost(ledger, 1.5, 1e-6) == core.PrivacyCost(0.0, 1e-6 + 1e-7)
+
+
 def test_approx_cost_validates_delta():
     ledger = AccountantLedger()
     ledger.register(0.1)

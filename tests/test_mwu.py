@@ -103,6 +103,25 @@ def test_alpha_budget_dominant_regime():
     assert abs(alpha - target) / target < 0.01
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [
+        tuple(EXAMPLE.values()),
+        (64, 48_029, 500, 1.0, 1e-6, 1e-2),
+        (2, 1000, 500, 1.0, 0.99999, math.exp(-12.5)),
+        (64, 1_000_000, 500, 1.0, 1e-6, 0.99),
+    ],
+)
+def test_alpha_is_the_fixed_point(problem):
+    universe, n, m, epsilon, delta, beta = problem
+    alpha = solve_alpha(*problem)
+    budget = (
+        math.sqrt(math.log(universe) * math.log(1.0 / delta)) * math.log(m) / (n * epsilon)
+    )
+    confidence = math.log(1.0 / beta) / (n * epsilon)
+    assert abs(alpha - 40.0 * (budget / alpha + confidence)) <= 1e-12 * alpha
+
+
 def test_alpha_infeasible_and_validation():
     with pytest.raises(InfeasibleParameters):
         solve_alpha(64, 10, 500, 0.01, 1e-6, 1e-3)
@@ -140,6 +159,26 @@ def test_config_derivations():
     assert config.svt == want
     with pytest.raises(ParameterError):
         make_mwu_config(16, 5000, 40, 1.0, 1e-6, 0.05, alpha_override=1.0)
+
+
+@pytest.mark.parametrize("n", [0, -5, 2.5])
+@pytest.mark.parametrize("alpha_override", [None, 0.3])
+def test_config_refuses_a_bad_sample_size(n, alpha_override):
+    with pytest.raises(ParameterError, match="n must be a positive integer"):
+        make_mwu_config(16, n, 40, 1.0, 1e-6, 0.05, alpha_override=alpha_override)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [np.array([0.5, 1.7, 2.2, 3.9]), np.array([0, 1, 9]), np.array([0, -1, 2]),
+     np.array([], dtype=int), np.zeros((2, 2), dtype=int)],
+)
+def test_answerers_refuse_records_that_are_not_universe_indices(records):
+    with pytest.raises(ParameterError, match="records must be"):
+        EmpiricalAnswerer(Dataset(records), 4)
+    config = make_mwu_config(4, max(records.size, 1), 10, 1.0, 1e-6, 0.05, alpha_override=0.3)
+    with pytest.raises(ParameterError, match="records must be"):
+        MwuSession(config, Dataset(records), RandomStream(0))
 
 
 def test_query_value_validation():

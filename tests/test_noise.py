@@ -106,6 +106,35 @@ def test_truncated_laplace_matches_cdf(epsilon, delta):
     assert ks < 0.005
 
 
+class FixedUniforms:
+    """A stand-in stream whose generator hands out fixed uniforms."""
+
+    def __init__(self, uniforms):
+        self.generator = self
+        self._uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, size=None):
+        return self._uniforms if size is not None else float(self._uniforms[0])
+
+
+@pytest.mark.parametrize("epsilon,delta", [(1.0, math.exp(-3.0)), (0.05, 1e-12)])
+def test_truncated_laplace_quantile_at_fixed_uniforms(epsilon, delta):
+    params = TruncatedLaplaceParams(epsilon, delta)
+    radius = params.support_radius
+    top = np.nextafter(1.0, 0.0)
+    uniforms = np.concatenate(([0.0, 0.5, top], np.linspace(0.0, 1.0, 4001)[1:-1]))
+    draws = sample_truncated_laplace(FixedUniforms(uniforms), params, size=uniforms.size)
+    assert np.abs(draws).max() <= radius
+    assert draws[0] == pytest.approx(-radius, rel=1e-12) and draws[1] == 0.0
+    # the largest uniform below 1 leaves 2**-52 of tail mass uncovered
+    assert draws[2] == pytest.approx(radius, rel=1e-5)
+    assert np.all(np.diff(draws[3:]) > 0)
+    cdf = oracles.tlap_cdf_numeric(epsilon, delta)
+    assert np.abs(cdf(draws[1:]) - uniforms[1:]).max() <= 1e-6
+    scalar = sample_truncated_laplace(FixedUniforms([0.25]), params)
+    assert isinstance(scalar, float) and cdf(scalar) == pytest.approx(0.25, abs=1e-6)
+
+
 def test_truncated_laplace_rejects_bad_params():
     with pytest.raises(ParameterError):
         TruncatedLaplaceParams(0.0, 0.1)

@@ -149,6 +149,15 @@ def test_declared_gate_rate_matches_empirical_rate():
         assert abs(rate - declared) < 0.005
 
 
+def test_below_probability_is_exact_in_the_far_tail():
+    # t - d = -40 at scale 1: Pr[Lap(1) <= -40] = exp(-40) / 2, which
+    # 1 - Pr[Lap(1) >= -40] rounds to 0.
+    below = below_hypothesis(lambda d_: 0.0, 2.0, 42.0, 1.0, 1.0)
+    want = float(oracles.laplace_cdf(-40.0, 1.0))
+    got = below.top_probability(make_dataset())
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_hypothesis_validation():
     with pytest.raises(ParameterError):
         above_hypothesis(lambda d: 0.0, 0.0, 0.0, 1.0)
