@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .svt import RepetitiveSvt, SvtConfig, SvtQuery, svt_params
 
 _FIXED_POINT_CONSTANT = 40.0
 _REDRAW_LIMIT = 3
+_BLOCK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -238,15 +239,21 @@ class MwuSession:
         self.dataset = dataset
         self.state = core.init(config.svt.gamma, dataset, stream)
         self._svt = RepetitiveSvt(config.svt, self.state)
-        self.weights = uniform_histogram(config.universe_size)
         self.update_rounds = 0
         self.release_count = 0
-        # Frozen empirical frequencies; evaluators still fetch for the
-        # access instrumentation, the records themselves cannot change
-        # under a live session.
-        self._frequencies = (
-            np.bincount(records, minlength=config.universe_size) / config.n
-        )
+        # Row 0 is the public histogram, row 1 the frozen empirical
+        # frequencies, so one product gives the guess and the sample mean.
+        # Evaluators still fetch for the access instrumentation; the records
+        # themselves cannot change under a live session.
+        self._table = np.stack([
+            uniform_histogram(config.universe_size),
+            np.bincount(records, minlength=config.universe_size) / config.n,
+        ])
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The public histogram, a view that each update rewrites in place."""
+        return self._table[0]
 
     @property
     def halted(self) -> bool:
@@ -272,8 +279,7 @@ class MwuSession:
         if self.halted:
             raise HaltedError("session halted, no further queries")
         values = as_query_values(query, self.config.universe_size)
-        guess = float(self.weights @ values)
-        mean = float(self._frequencies @ values)
+        guess, mean = (self._table @ values).tolist()
         if self._within(mean, guess, self.config.alpha):
             return min(max(guess, 0.0), 1.0)
 
@@ -294,7 +300,7 @@ class MwuSession:
             if self._within(mean, released, self.config.alpha / 2.0):
                 break
         direction = 1.0 if released >= guess else -1.0
-        self.weights = mwu_update(self.weights, values, direction, self.config.eta)
+        self._table[0] = mwu_update(self._table[0], values, direction, self.config.eta)
         return min(max(released, 0.0), 1.0)
 
 
@@ -328,11 +334,17 @@ class FixedPoolAdversary:
         pass
 
 
-def _random_half_indicator(generator: np.random.Generator, size: int) -> np.ndarray:
-    """Indicator of a uniformly random subset of size // 2 elements."""
-    values = np.zeros(size)
-    values[generator.permutation(size)[: size // 2]] = 1.0
-    return values
+def _half_subsets(generator: np.random.Generator, size: int) -> Iterator[np.ndarray]:
+    """Endless indicators of independent uniformly random size // 2 subsets.
+
+    Rows are shuffled a block at a time, each row on its own, so every row
+    is a uniform half-subset independent of the others.  A block holds at
+    most _BLOCK_ENTRIES entries, or one row when a row is longer.
+    """
+    block = np.zeros((max(1, _BLOCK_ENTRIES // size), size))
+    block[:, : size // 2] = 1.0
+    while True:
+        yield from generator.permuted(block, axis=1)
 
 
 class RandomSubsetAdversary:
@@ -340,10 +352,10 @@ class RandomSubsetAdversary:
 
     def __init__(self, universe_size: int, stream: RandomStream):
         self.universe_size = universe_size
-        self._generator = stream.generator
+        self._subsets = _half_subsets(stream.generator, universe_size)
 
     def next_query(self) -> np.ndarray:
-        return _random_half_indicator(self._generator, self.universe_size)
+        return next(self._subsets)
 
     def observe(self, answer: float) -> None:
         pass
@@ -364,7 +376,7 @@ class OverfittingAdversary:
             raise ParameterError(f"probes must be positive, got {probes}")
         self.universe_size = universe_size
         self.probes = probes
-        self._generator = stream.generator
+        self._subsets = _half_subsets(stream.generator, universe_size)
         self._scores = np.zeros(universe_size)
         self._pending: np.ndarray | None = None
         self._issued = 0
@@ -372,7 +384,7 @@ class OverfittingAdversary:
 
     def next_query(self) -> np.ndarray:
         if self._issued < self.probes:
-            self._pending = _random_half_indicator(self._generator, self.universe_size)
+            self._pending = next(self._subsets)
             self._issued += 1
             return self._pending
         if self._final is None:

@@ -155,6 +155,24 @@ class RepetitiveSvt:
         self.state = state
         self.charged = 0
         self.halted = False
+        # Both hypotheses test the query in flight shifted to threshold 0,
+        # built once per session.  The closure reads a one-slot holder, not
+        # the session: a closure over the session would make a reference
+        # cycle and leave every finished session to the cyclic collector.
+        # process empties the slot on exit, so no query outlives its call.
+        in_flight: list[SvtQuery | None] = [None]
+
+        def shifted(dataset: Dataset) -> float:
+            query = in_flight[0]
+            return query.evaluator(dataset) - query.threshold
+
+        self._in_flight = in_flight
+        self._above = above_hypothesis(
+            shifted, 0.0, config.epsilon_prime, config.sensitivity
+        )
+        self._below = below_hypothesis(
+            shifted, 0.0, config.d, config.epsilon_prime, config.sensitivity
+        )
 
     def process(self, query: SvtQuery) -> Verdict:
         """Settle one query, or raise HaltedError if the budget ran out.
@@ -164,30 +182,20 @@ class RepetitiveSvt:
         """
         if self.halted:
             raise HaltedError("TOP budget exhausted, session halted")
-        above = True
-        while True:
-            if above:
-                hypothesis = above_hypothesis(
-                    query.evaluator,
-                    query.threshold,
-                    self.config.epsilon_prime,
-                    self.config.sensitivity,
-                )
-            else:
-                hypothesis = below_hypothesis(
-                    query.evaluator,
-                    query.threshold,
-                    self.config.d,
-                    self.config.epsilon_prime,
-                    self.config.sensitivity,
-                )
-            if self.state.test_batch(hypothesis, self.config.tau):
-                return BOT if above else TOP
-            self.charged += 1
-            if self.charged == self.config.k_prime:
-                self.halted = True
-                raise HaltedError("TOP budget exhausted, session halted")
-            above = not above
+        self._in_flight[0] = query
+        try:
+            above = True
+            while not self.state.test_batch(
+                self._above if above else self._below, self.config.tau
+            ):
+                self.charged += 1
+                if self.charged == self.config.k_prime:
+                    self.halted = True
+                    raise HaltedError("TOP budget exhausted, session halted")
+                above = not above
+            return BOT if above else TOP
+        finally:
+            self._in_flight[0] = None
 
 
 def repetitive_svt(

@@ -25,7 +25,7 @@ from dpselect.coingame import (
     transcript_max_log_ratio,
     transcript_renyi,
 )
-from dpselect.core import BOT, EMPTY, TOP, Dataset, Hypothesis, Mechanism
+from dpselect.core import BOT, EMPTY, TOP, Dataset, Mechanism
 from dpselect.errors import HaltedError, PromiseViolation
 from dpselect.mwu import (
     EmpiricalAnswerer,

@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import oracles
+from dpselect import mwu
 from dpselect.core import AccountantLedger, Dataset, approx_dp_cost
 from dpselect.errors import HaltedError, InfeasibleParameters, ParameterError
 from dpselect.mwu import (
@@ -23,7 +27,6 @@ from dpselect.mwu import (
     mwu_update,
     sample_size_for_accuracy,
     solve_alpha,
-    uniform_histogram,
 )
 from dpselect.noise import RandomStream
 from dpselect.svt import svt_params
@@ -298,6 +301,59 @@ def test_noise_dominated_session_halts_on_budget():
     )
 
 
+def test_releases_are_redrawn_at_a_borderline_recheck():
+    # A batch of tau tests settles all-BOT only when the value sits about
+    # scale * ln(tau) below the threshold, scale = sensitivity / epsilon'.
+    # epsilon' does not depend on n, so n = 2 ln(tau) / (alpha epsilon')
+    # puts alpha / 2 at that margin: the re-check of a release, whose own
+    # noise has the same scale, then fails often but not always.
+    universe, alpha = 16, 0.3
+    probe = make_mwu_config(universe, 100, 10, 1.0, 1e-6, 0.05, alpha_override=alpha)
+    margin = math.log(probe.svt.tau)
+    n = round(2.0 * margin / (alpha * probe.svt.epsilon_prime))
+    config = make_mwu_config(universe, n, 10, 1.0, 1e-6, 0.05, alpha_override=alpha)
+    scale = config.svt.sensitivity / config.svt.epsilon_prime
+    assert scale * margin == pytest.approx(alpha / 2.0, rel=1e-2)
+    # Every record is element 0, so the spike query sits far from the guess.
+    spike = np.zeros(universe)
+    spike[0] = 1.0
+    cap = 1 + mwu._REDRAW_LIMIT
+    redrawn = capped = 0
+    for seed in range(40):
+        session = MwuSession(config, Dataset(np.zeros(n, dtype=int)), RandomStream(9150 + seed))
+        for _ in range(10):
+            try:
+                session.answer(spike)
+            except HaltedError:
+                break
+            finally:
+                assert session.update_rounds <= session.release_count
+                assert session.release_count <= cap * session.update_rounds
+        redrawn += session.release_count > session.update_rounds
+        capped += session.release_count == cap * session.update_rounds
+    assert redrawn >= 1
+    # Some session also accepted a release before the redraw cap.
+    assert capped < 40
+
+
+def test_finished_session_is_freed_without_the_cyclic_collector():
+    # A reference cycle through a session would keep its dataset alive until
+    # the cyclic collector runs.
+    gc.disable()
+    try:
+        session, _ = skewed_session(seed=26)
+        spike = np.zeros(8)
+        spike[7] = 1.0
+        for _ in range(5):
+            session.answer(spike)
+        assert session.update_rounds >= 1
+        refs = [weakref.ref(session), weakref.ref(session._svt), weakref.ref(session.state)]
+        del session
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
 def test_empirical_answerer_reports_sample_means():
     answerer = EmpiricalAnswerer(Dataset(np.array([0, 0, 1, 3])), 4)
     values = np.array([1.0, 0.5, 0.0, 0.25])
@@ -313,6 +369,48 @@ def test_fixed_pool_cycles_and_ignores_answers():
     pool.observe(0.5)
     assert pool.next_query() is not first
     assert pool.next_query() is first
+
+
+def test_half_subsets_are_uniform_and_independent_across_blocks():
+    size = 4
+    rows = 3 * (mwu._BLOCK_ENTRIES // size) + 7
+    subsets = mwu._half_subsets(np.random.default_rng(9140), size)
+    drawn = np.array([next(subsets) for _ in range(rows)])
+    assert set(np.unique(drawn)) == {0.0, 1.0}
+    assert (drawn.sum(axis=1) == size // 2).all()
+    # Label each row by its subset: the 6 two-element subsets of 4.
+    codes = drawn @ (2.0 ** np.arange(size))
+    labels = np.searchsorted([3, 5, 6, 9, 10, 12], codes)
+    assert stats.chisquare(np.bincount(labels, minlength=6)).pvalue > 1e-3
+    # Consecutive rows, within a block and across its boundary, are independent.
+    pairs = 6 * labels[:-1] + labels[1:]
+    assert stats.chisquare(np.bincount(pairs, minlength=36)).pvalue > 1e-3
+
+
+def test_half_subset_block_is_one_row_at_a_large_universe():
+    size = 2**20
+    tracemalloc.start()
+    try:
+        query = RandomSubsetAdversary(size, RandomStream(9141)).next_query()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert query.sum() == size // 2
+    # The kept template and the shuffled block, one row of 8 MiB each.
+    assert peak < 3 * 8 * size
+
+
+def test_random_adversaries_draw_from_one_helper():
+    size = 2**12  # two rows per block, so five queries cross blocks
+    for seed in range(3):
+        expected = mwu._half_subsets(RandomStream(seed).generator, size)
+        overfitting = OverfittingAdversary(size, RandomStream(seed), probes=5)
+        subsets = RandomSubsetAdversary(size, RandomStream(seed))
+        for _ in range(5):
+            row = next(expected)
+            assert np.array_equal(overfitting.next_query(), row)
+            overfitting.observe(0.7)
+            assert np.array_equal(subsets.next_query(), row)
 
 
 def empirical_harness(probabilities, n=10, m=5, trials=1):

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
-from conftest import forced_state, make_dataset
+from conftest import make_dataset
 from dpselect import core, svt
 from dpselect.core import BOT, TOP, Dataset
 from dpselect.errors import HaltedError, ParameterError
@@ -156,6 +157,39 @@ def test_below_probability_is_exact_in_the_far_tail():
     want = float(oracles.laplace_cdf(-40.0, 1.0))
     got = below.top_probability(make_dataset())
     assert abs(got - want) <= 1e-12 * want
+
+
+def test_session_hypotheses_declare_the_laplace_tails(monkeypatch):
+    # Script the batches (the above one fails, the below one settles) and
+    # read the declared TOP probability of the hypothesis each one is given.
+    generator = np.random.default_rng(66)
+    base = svt_params(1.0, 1e-6, 3, 50, 1e-3)
+    for _ in range(300):
+        epsilon_prime = generator.uniform(0.05, 5.0)
+        sensitivity = generator.uniform(0.1, 3.0)
+        scale = sensitivity / epsilon_prime
+        config = dataclasses.replace(
+            base,
+            epsilon_prime=epsilon_prime,
+            sensitivity=sensitivity,
+            d=scale * generator.uniform(0.0, 30.0),
+        )
+        threshold = generator.uniform(-5.0, 5.0) * scale
+        value = threshold + generator.uniform(-30.0, 30.0) * scale
+        session, state = make_session(config, seed=0)
+        declared = []
+
+        def scripted(hypothesis, count, _state=state, _declared=declared):
+            _declared.append(hypothesis.top_probability(_state.dataset))
+            return len(_declared) == 2
+
+        monkeypatch.setattr(state, "test_batch", scripted)
+        assert session.process(constant_query(value, threshold)) is TOP
+        above, below = declared
+        want_above = stats.laplace.sf(threshold - value, scale=scale)
+        want_below = stats.laplace.cdf(threshold - config.d - value, scale=scale)
+        assert above == pytest.approx(want_above, rel=1e-12, abs=0)
+        assert below == pytest.approx(want_below, rel=1e-12, abs=0)
 
 
 def test_hypothesis_validation():
