@@ -24,7 +24,7 @@ from .coingame import (
     exact_renyi,
     random_valid_schedule,
 )
-from .errors import ParameterError
+from .errors import ParameterError, check_above, check_count
 from .mwu import (
     FixedPoolAdversary,
     MwuSession,
@@ -200,8 +200,7 @@ def _run_accountant(config: dict, trials: int, stream: RandomStream, pure_dp: bo
     epsilon = config["epsilon"]
     gamma = config["gamma"]
     delta = config["delta"]
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    check_above("gamma", gamma)
     for c1 in range(config["max_selections"] + 1):
         for c2 in (0, 1, config["max_tops"]):
             ledger = core.AccountantLedger()
@@ -513,13 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     trials = args.trials if args.trials is not None else _TRIAL_DEFAULTS[args.command]
-    if trials < 1:
-        print("error: --trials must be positive", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return 2
     try:
+        check_count("--trials", trials)
+        check_count("--seed", args.seed, least=0)
         config = _load_config(args.command, args.config)
         stream = RandomStream(args.seed)
         rows, failures = _RUNNERS[args.command](config, trials, stream, args.pure_dp)

@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ParameterError, PromiseViolation
+from .errors import ParameterError, PromiseViolation, check_above, check_count
 from .noise import RandomStream
 
 _PROMISE_TOL = 1e-12
@@ -43,8 +43,7 @@ class QueryPair:
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
+        check_above("epsilon", self.epsilon)
         if not (0.0 <= self.q <= 1.0 and 0.0 <= self.p <= 1.0):
             raise PromiseViolation(f"probabilities must lie in [0, 1]: p={self.p}, q={self.q}")
         grow = math.exp(self.epsilon)
@@ -87,21 +86,6 @@ def _chances(adversary: DeterministicAdversary, b: int) -> np.ndarray:
         raise ParameterError(f"b must be 0 or 1, got {b}")
     attr = "p" if b == 0 else "q"
     return np.array([getattr(pair, attr) for pair in adversary.pairs])
-
-
-def _check_cap(adversary: DeterministicAdversary, cap: int, name: str) -> None:
-    if not 1 <= cap <= len(adversary):
-        raise ParameterError(f"{name} must lie in [1, {len(adversary)}], got {cap}")
-
-
-def _check_k(k: int) -> None:
-    if not (isinstance(k, int) and k >= 1):
-        raise ParameterError(f"k must be a positive integer, got {k}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not alpha > 1:
-        raise ParameterError(f"alpha must exceed 1, got {alpha}")
 
 
 def _step(mass_p: float, mass_q: float, alpha: float | None) -> float:
@@ -155,7 +139,7 @@ def exact_renyi(adversary: DeterministicAdversary, alpha: float) -> float:
     i.e. exp((alpha - 1) * D_alpha(P || Q)).  A zero-q outcome with positive
     p mass makes the divergence infinite and is reported as +inf.
     """
-    _check_alpha(alpha)
+    check_above("alpha", alpha, 1.0)
     return _transcript_fold(adversary, 1, len(adversary), alpha)
 
 
@@ -176,8 +160,8 @@ def enumerate_transcripts(
     Exponential in ``cap``: the divergence oracles use the recurrence, and
     this walk is kept as the independent reference they are tested against.
     """
-    _check_k(k)
-    _check_cap(adversary, cap, "cap")
+    check_count("k", k)
+    check_count("cap", cap, most=len(adversary))
     ps = _chances(adversary, 0)
     qs = _chances(adversary, 1)
     probs_p: list[float] = []
@@ -200,9 +184,9 @@ def transcript_renyi(
     adversary: DeterministicAdversary, k: int, alpha: float, cap: int
 ) -> float:
     """E-value of the order-alpha divergence over full truncated transcripts."""
-    _check_alpha(alpha)
-    _check_k(k)
-    _check_cap(adversary, cap, "cap")
+    check_above("alpha", alpha, 1.0)
+    check_count("k", k)
+    check_count("cap", cap, most=len(adversary))
     return _transcript_fold(adversary, k, cap, alpha)
 
 
@@ -210,8 +194,8 @@ def transcript_max_log_ratio(
     adversary: DeterministicAdversary, k: int, cap: int
 ) -> float:
     """Max divergence over full truncated transcripts of the k-success game."""
-    _check_k(k)
-    _check_cap(adversary, cap, "cap")
+    check_count("k", k)
+    check_count("cap", cap, most=len(adversary))
     best = _transcript_fold(adversary, k, cap, None)
     return math.log(best) if best > 0 else 0.0
 
@@ -226,8 +210,7 @@ def random_valid_schedule(
     Each round draws q uniformly in [0.05, 0.95] and then p uniformly between
     q and the largest value both closeness inequalities allow.
     """
-    if not (isinstance(length, int) and length >= 1):
-        raise ParameterError(f"length must be a positive integer, got {length}")
+    check_count("length", length)
     generator = stream.generator
     grow = math.exp(epsilon)
     shrink = math.exp(-epsilon)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .errors import LedgerError, ParameterError
+from .errors import LedgerError, ParameterError, check_above, check_count, check_unit_interval
 from .noise import RandomStream, sample_pass_probability
 
 _EPSILON_MATCH_TOL = 1e-12
@@ -133,8 +133,7 @@ class AccountantLedger:
     delta_mass: float = 0.0
 
     def register(self, epsilon: float) -> None:
-        if not epsilon >= 0:
-            raise ParameterError(f"declared epsilon must be nonnegative, got {epsilon}")
+        check_above("declared epsilon", epsilon, inclusive=True)
         if self.base_epsilon is None:
             self.base_epsilon = float(epsilon)
         elif abs(epsilon - self.base_epsilon) > _EPSILON_MATCH_TOL:
@@ -160,8 +159,7 @@ def approx_dp_cost(
     gamma*eps plus 2*eps per selection call.  With no TOP charges the pure
     budget is already optimal and is returned unchanged.
     """
-    if not 0 < delta_target < 1:
-        raise ParameterError(f"delta_target must lie in (0, 1), got {delta_target}")
+    check_unit_interval("delta_target", delta_target)
     c2 = ledger.top_responses
     if c2 == 0:
         return pure_dp_cost(ledger, gamma)
@@ -199,8 +197,7 @@ class FrameworkState:
         many coins fired.  Outputs are compared with ``>``, so mechanism
         outputs must share a total order.
         """
-        if not isinstance(tau, int) or tau < 1:
-            raise ParameterError(f"tau must be a positive integer, got {tau}")
+        check_count("tau", tau)
         if not mechanisms:
             raise ParameterError("selection needs at least one mechanism")
         for mechanism in mechanisms:
@@ -248,8 +245,7 @@ class FrameworkState:
         is pure-DP), the whole stretch is resolved from one uniform draw;
         otherwise the loop runs call by call.
         """
-        if not isinstance(count, int) or count < 1:
-            raise ParameterError(f"count must be a positive integer, got {count}")
+        check_count("count", count)
         if hypothesis.top_probability is None:
             for _ in range(count):
                 if self.test(hypothesis) is TOP:
@@ -278,7 +274,6 @@ class FrameworkState:
 
 def init(gamma: float, dataset: Dataset, stream: RandomStream) -> FrameworkState:
     """Draw the gate probability once and wrap it in a fresh state."""
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    check_above("gamma", gamma)
     p = sample_pass_probability(stream, gamma)
     return FrameworkState(gamma=float(gamma), p=p, dataset=dataset, stream=stream)

@@ -1,4 +1,11 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the parameter contract.
+
+Every numeric range check calls ``check_above``, ``check_unit_interval`` or
+``check_count``, which decide and word each rule once.  NaN fails every
+check, and a count is an ``int``, never a ``bool`` or a float such as 10.0.
+"""
+
+_GAMMA_MATCH_TOL = 1e-12
 
 
 class ParameterError(ValueError):
@@ -19,3 +26,44 @@ class LedgerError(RuntimeError):
 
 class HaltedError(RuntimeError):
     """A budgeted session has stopped and can take no further queries."""
+
+
+def check_above(name: str, value: float, floor: float = 0.0, *, inclusive: bool = False) -> None:
+    """Refuse ``value`` unless it exceeds ``floor`` (or equals it, when inclusive)."""
+    if value >= floor if inclusive else value > floor:
+        return
+    if floor == 0:
+        rule = "be nonnegative" if inclusive else "be positive"
+    else:
+        rule = f"be at least {floor:g}" if inclusive else f"exceed {floor:g}"
+    raise ParameterError(f"{name} must {rule}, got {value}")
+
+
+def check_unit_interval(name: str, value: float) -> None:
+    """Refuse ``value`` unless it lies in the open interval (0, 1)."""
+    if not 0 < value < 1:
+        raise ParameterError(f"{name} must lie in (0, 1), got {value}")
+
+
+def check_count(name: str, value: int, least: int = 1, most: int | None = None) -> None:
+    """Refuse ``value`` unless it is an int, not a bool, in [least, most]."""
+    if (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and value >= least
+        and (most is None or value <= most)
+    ):
+        return
+    if most is not None:
+        rule = f"an integer in [{least}, {most}]"
+    elif least == 1:
+        rule = "a positive integer"
+    else:
+        rule = f"at least {least} (an integer)"
+    raise ParameterError(f"{name} must be {rule}, got {value}")
+
+
+def check_gamma(state_gamma: float, gamma: float) -> None:
+    """Refuse a framework state whose gate exponent is not ``gamma`` (to 1e-12)."""
+    if not abs(state_gamma - gamma) <= _GAMMA_MATCH_TOL:
+        raise ParameterError(f"state gamma must be {gamma}, got {state_gamma}")

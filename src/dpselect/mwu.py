@@ -20,7 +20,14 @@ import numpy as np
 
 from . import core
 from .core import BOT, Dataset
-from .errors import HaltedError, InfeasibleParameters, ParameterError
+from .errors import (
+    HaltedError,
+    InfeasibleParameters,
+    ParameterError,
+    check_above,
+    check_count,
+    check_unit_interval,
+)
 from .noise import RandomStream, sample_laplace
 from .svt import RepetitiveSvt, SvtConfig, SvtQuery, svt_params
 
@@ -55,7 +62,7 @@ def as_query_values(query, universe_size: int) -> np.ndarray:
 
 
 def uniform_histogram(universe_size: int) -> np.ndarray:
-    _check_universe_size(universe_size)
+    check_count("universe size", universe_size, least=2)
     return np.full(universe_size, 1.0 / universe_size)
 
 
@@ -65,20 +72,9 @@ def mwu_update(
     """Tilt the histogram by exp(direction * eta * values) and renormalise."""
     if direction not in (-1.0, 1.0):
         raise ParameterError(f"direction must be +1 or -1, got {direction}")
-    if not eta >= 0:
-        raise ParameterError(f"eta must be nonnegative, got {eta}")
+    check_above("eta", eta, inclusive=True)
     tilted = weights * np.exp(direction * eta * values)
     return tilted / tilted.sum()
-
-
-def _check_universe_size(universe_size: int) -> None:
-    if not (isinstance(universe_size, int) and universe_size >= 2):
-        raise ParameterError(f"universe size must be at least 2, got {universe_size}")
-
-
-def _check_sample_size(n: int) -> None:
-    if not (isinstance(n, int) and n >= 1):
-        raise ParameterError(f"n must be a positive integer, got {n}")
 
 
 def _check_records(records, universe_size: int) -> np.ndarray:
@@ -100,15 +96,11 @@ def _fixed_point_terms(
     universe_size: int, m: int, epsilon: float, delta: float, beta: float
 ) -> tuple[float, float]:
     """Check the problem and return n*A and n*B of the fixed point (see solve_alpha)."""
-    _check_universe_size(universe_size)
-    if not (isinstance(m, int) and m >= 2):
-        raise ParameterError(f"m must be an integer of at least 2, got {m}")
-    if not epsilon > 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    if not 0 < beta < 1:
-        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
+    check_count("universe size", universe_size, least=2)
+    check_count("m", m, least=2)
+    check_above("epsilon", epsilon)
+    check_unit_interval("delta", delta)
+    check_unit_interval("beta", beta)
     budget = math.sqrt(math.log(universe_size) * math.log(1.0 / delta)) * math.log(m) / epsilon
     return budget, math.log(1.0 / beta) / epsilon
 
@@ -131,7 +123,7 @@ def solve_alpha(
     that root exceeds 1.
     """
     budget, confidence = _fixed_point_terms(universe_size, m, epsilon, delta, beta)
-    _check_sample_size(n)
+    check_count("n", n)
     cb = _FIXED_POINT_CONSTANT * confidence / n
     alpha = (cb + math.sqrt(cb * cb + 4.0 * _FIXED_POINT_CONSTANT * budget / n)) / 2.0
     if alpha > 1.0:
@@ -150,8 +142,7 @@ def sample_size_for_accuracy(
     beta: float,
 ) -> int:
     """Smallest n whose solved fixed point (C = 40) reaches the target alpha."""
-    if not 0 < alpha < 1:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    check_unit_interval("alpha", alpha)
     budget, confidence = _fixed_point_terms(universe_size, m, epsilon, delta, beta)
     return math.ceil(_FIXED_POINT_CONSTANT * (budget / alpha**2 + confidence / alpha))
 
@@ -191,13 +182,12 @@ def make_mwu_config(
     point to operate outside the guaranteed regime, e.g. for demos at small
     n; everything downstream is derived from the override instead.
     """
-    _check_universe_size(universe_size)
-    _check_sample_size(n)
+    check_count("universe size", universe_size, least=2)
+    check_count("n", n)
     if alpha_override is None:
         alpha = solve_alpha(universe_size, n, m, epsilon, delta, beta)
     else:
-        if not 0 < alpha_override < 1:
-            raise ParameterError(f"alpha_override must lie in (0, 1), got {alpha_override}")
+        check_unit_interval("alpha_override", alpha_override)
         alpha = float(alpha_override)
     k = math.ceil(math.log(universe_size) / alpha**2)
     svt_m = 4 * m
@@ -308,6 +298,7 @@ class EmpiricalAnswerer:
     """Baseline that answers every query with the exact sample mean."""
 
     def __init__(self, dataset: Dataset, universe_size: int):
+        check_count("universe size", universe_size)
         records = _check_records(dataset.fetch(), universe_size)
         self.dataset = dataset
         self.universe_size = universe_size
@@ -351,6 +342,7 @@ class RandomSubsetAdversary:
     """Issues indicator queries of fresh uniformly random half-subsets."""
 
     def __init__(self, universe_size: int, stream: RandomStream):
+        check_count("universe size", universe_size)
         self.universe_size = universe_size
         self._subsets = _half_subsets(stream.generator, universe_size)
 
@@ -372,8 +364,8 @@ class OverfittingAdversary:
     """
 
     def __init__(self, universe_size: int, stream: RandomStream, probes: int):
-        if probes < 1:
-            raise ParameterError(f"probes must be positive, got {probes}")
+        check_count("universe size", universe_size)
+        check_count("probes", probes)
         self.universe_size = universe_size
         self.probes = probes
         self._subsets = _half_subsets(stream.generator, universe_size)
@@ -440,9 +432,9 @@ def adaptive_harness(
         raise ParameterError("probabilities must form a distribution")
     if not probabilities.min() >= 0:
         raise ParameterError("probabilities must be nonnegative")
-    for name, value in (("n", n), ("m", m), ("trials", trials)):
-        if not (isinstance(value, int) and value >= 1):
-            raise ParameterError(f"{name} must be a positive integer, got {value}")
+    check_count("n", n)
+    check_count("m", m)
+    check_count("trials", trials)
     universe_size = probabilities.size
     # multinomial refuses a vector whose sum exceeds 1 by more than 1e-12.
     draw_probabilities = probabilities / probabilities.sum()

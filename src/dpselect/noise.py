@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_above, check_unit_interval
 
 
 @dataclass
@@ -56,10 +56,8 @@ class TruncatedLaplaceParams:
     delta: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0 < self.delta < 1:
-            raise ParameterError(f"delta must lie in (0, 1), got {self.delta}")
+        check_above("epsilon", self.epsilon)
+        check_unit_interval("delta", self.delta)
 
     @property
     def support_radius(self) -> float:
@@ -71,8 +69,7 @@ def sample_laplace(stream: RandomStream, scale: float, size: int | None = None):
 
     Returns a float when ``size`` is None, else an ndarray of that length.
     """
-    if not scale > 0:
-        raise ParameterError(f"scale must be positive, got {scale}")
+    check_above("scale", scale)
     draw = stream.generator.laplace(0.0, scale, size)
     return float(draw) if size is None else draw
 
@@ -96,8 +93,7 @@ def sample_truncated_laplace(
 
 def sample_pass_probability(stream: RandomStream, gamma: float, size: int | None = None):
     """Draw the gate probability p with CDF Pr[p <= x] = x**gamma on [0, 1]."""
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
+    check_above("gamma", gamma)
     u = stream.generator.random(size)
     value = u ** (1.0 / gamma)
     return float(value) if size is None else value
@@ -114,10 +110,8 @@ def exponential_mechanism(
     Weights are normalised after subtracting the max exponent, so widely
     spread scores cannot overflow.
     """
-    if not epsilon > 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    if not sensitivity > 0:
-        raise ParameterError(f"sensitivity must be positive, got {sensitivity}")
+    check_above("epsilon", epsilon)
+    check_above("sensitivity", sensitivity)
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 1 or scores.size == 0:
         raise ParameterError("scores must be a nonempty vector")

@@ -17,7 +17,13 @@ import numpy as np
 
 from . import core
 from .core import EMPTY, Dataset, FrameworkState, Mechanism, PrivacyCost
-from .errors import ParameterError
+from .errors import (
+    ParameterError,
+    check_above,
+    check_count,
+    check_gamma,
+    check_unit_interval,
+)
 from .noise import (
     RandomStream,
     TruncatedLaplaceParams,
@@ -25,7 +31,6 @@ from .noise import (
     sample_truncated_laplace,
 )
 
-_GAMMA_MATCH_TOL = 1e-12
 _CORRECTION_CONSTANT = 30.0
 _BLOCK_ENTRIES = 2**13  # scores per block of top-k runs; bounds a batch's memory
 
@@ -61,12 +66,10 @@ class BtmConfig:
     budget_cap: int | None = None
 
     def __post_init__(self):
-        if not self.alpha >= 1:
-            raise ParameterError(f"alpha must be at least 1, got {self.alpha}")
-        if not 0 < self.beta < 1:
-            raise ParameterError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.budget_cap is not None and self.budget_cap < 1:
-            raise ParameterError(f"budget_cap must be positive, got {self.budget_cap}")
+        check_above("alpha", self.alpha, 1.0, inclusive=True)
+        check_unit_interval("beta", self.beta)
+        if self.budget_cap is not None:
+            check_count("budget_cap", self.budget_cap)
 
     @property
     def budget(self) -> int:
@@ -90,10 +93,7 @@ def better_than_median(
     must declare epsilon below 1 (the boosting analysis needs room to pay
     (2 + alpha) * epsilon).  Returns EMPTY when no repetition fired.
     """
-    if abs(state.gamma - config.alpha) > _GAMMA_MATCH_TOL:
-        raise ParameterError(
-            f"state gamma {state.gamma} must equal config alpha {config.alpha}"
-        )
+    check_gamma(state.gamma, config.alpha)
     if not base.epsilon < 1:
         raise ParameterError(
             f"base epsilon must be below 1 for the median boost, got {base.epsilon}"
@@ -136,8 +136,9 @@ class ScoreFamily:
     def __post_init__(self):
         if not self.evaluators:
             raise ParameterError("family must contain at least one evaluator")
-        if not self.sensitivity > 0:
-            raise ParameterError(f"sensitivity must be positive, got {self.sensitivity}")
+        check_above("sensitivity", self.sensitivity)
+        if self.k_bound is not None:
+            check_count("k_bound", self.k_bound)
 
     def __len__(self) -> int:
         return len(self.evaluators)
@@ -211,14 +212,10 @@ def topk_select(
     that no repetition fired.  Raises ParameterError if a score is not finite.
     """
     m = len(family)
-    if not (isinstance(k, int) and 1 <= k < m):
-        raise ParameterError(f"k must lie in [1, {m - 1}], got {k}")
-    if not 0 < epsilon < 1:
-        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    if not 0 < beta < 1:
-        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
+    check_count("k", k, most=m - 1)
+    check_unit_interval("epsilon", epsilon)
+    check_unit_interval("delta", delta)
+    check_unit_interval("beta", beta)
 
     correcting = beta < delta
     delta_run = delta / 10.0 if correcting else delta
@@ -279,12 +276,9 @@ def _noisy_max(read: Callable[[Dataset], np.ndarray], m: int, epsilon: float, de
     ledger delta of beta * delta / (5m) per index.  Returns None when no
     repetition fired.
     """
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    if not 0 < beta < 1:
-        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    if abs(state.gamma - 1.0) > _GAMMA_MATCH_TOL:
-        raise ParameterError(f"state gamma must be 1, got {state.gamma}")
+    check_unit_interval("delta", delta)
+    check_unit_interval("beta", beta)
+    check_gamma(state.gamma, 1.0)
     noise = TruncatedLaplaceParams(epsilon, beta * delta / (5.0 * spread))
     ledger_delta = beta * delta / (5.0 * m)
 
@@ -328,8 +322,7 @@ def choosing_mechanism(
 def stability_pivot(scores: np.ndarray, k: int) -> float:
     """The (k+1)-th largest score, the re-centering point used by stable_select."""
     scores = np.asarray(scores, dtype=float)
-    if not (isinstance(k, int) and 1 <= k < scores.size):
-        raise ParameterError(f"k must lie in [1, {scores.size - 1}], got {k}")
+    check_count("k", k, most=scores.size - 1)
     return float(np.partition(scores, -(k + 1))[-(k + 1)])
 
 
@@ -352,8 +345,7 @@ def stable_select(
     ParameterError if a score is not finite.
     """
     m = len(family)
-    if not (isinstance(k, int) and 1 <= k < m):
-        raise ParameterError(f"k must lie in [1, {m - 1}], got {k}")
+    check_count("k", k, most=m - 1)
     read = _score_reader(family)
 
     @functools.cache
@@ -385,6 +377,8 @@ def tlap_release_baseline(
     """
     if not queries:
         raise ParameterError("baseline needs at least one query")
+    check_above("epsilon", epsilon)
+    check_unit_interval("delta", delta)
     k = len(queries)
     answer_noise = TruncatedLaplaceParams(epsilon / (2.0 * k), delta / (4.0 * k))
     certificate_noise = TruncatedLaplaceParams(epsilon / 2.0, delta / 4.0)
@@ -422,8 +416,8 @@ def query_release_amplified(
     """
     if not queries:
         raise ParameterError("query release needs at least one query")
-    if not 0 < delta < 1:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+    check_above("epsilon", epsilon)
+    check_unit_interval("delta", delta)
     if base.epsilon > epsilon / 3.0 + 1e-12:
         raise ParameterError(
             f"base must declare epsilon at most {epsilon / 3.0}, got {base.epsilon}"

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .core import BOT, TOP, Dataset, FrameworkState, Hypothesis, Verdict
-from .errors import HaltedError, ParameterError
+from .errors import (
+    HaltedError,
+    ParameterError,
+    check_above,
+    check_count,
+    check_gamma,
+    check_unit_interval,
+)
 from .noise import RandomStream, sample_laplace
 
 Evaluator = Callable[[Dataset], float]
@@ -60,14 +67,10 @@ def svt_params(
     the pure-DP variant (which ignores delta).  Requires
     beta in (2**-m, 1/m), the regime the error analysis covers.
     """
-    if not epsilon > 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    if not (isinstance(k, int) and k >= 1):
-        raise ParameterError(f"k must be a positive integer, got {k}")
-    if not (isinstance(m, int) and m >= 2):
-        raise ParameterError(f"m must be an integer of at least 2, got {m}")
-    if not sensitivity > 0:
-        raise ParameterError(f"sensitivity must be positive, got {sensitivity}")
+    check_above("epsilon", epsilon)
+    check_count("k", k)
+    check_count("m", m, least=2)
+    check_above("sensitivity", sensitivity)
     if not 2.0 ** (-m) < beta < 1.0 / m:
         raise ParameterError(
             f"beta must lie in (2**-{m}, 1/{m}), got {beta}"
@@ -77,8 +80,7 @@ def svt_params(
     if pure_dp:
         epsilon_prime = epsilon / (gamma + k)
     else:
-        if not 0 < delta < 1:
-            raise ParameterError(f"delta must lie in (0, 1), got {delta}")
+        check_unit_interval("delta", delta)
         epsilon_prime = epsilon / (gamma + math.sqrt(k * math.log(1.0 / delta)))
     d = 10.0 * sensitivity * log_m / epsilon_prime
     k_prime = k + math.ceil(7.0 * math.log(1.0 / beta) / log_m)
@@ -110,8 +112,7 @@ def above_hypothesis(
     The closed-form TOP probability is attached so long all-BOT batches can
     be resolved analytically.
     """
-    if not epsilon_prime > 0:
-        raise ParameterError(f"epsilon_prime must be positive, got {epsilon_prime}")
+    check_above("epsilon_prime", epsilon_prime)
     scale = sensitivity / epsilon_prime
 
     def run(dataset: Dataset, stream: RandomStream) -> Verdict:
@@ -136,8 +137,7 @@ def below_hypothesis(
     Lap is symmetric, so this is the above test of -evaluator(D) at
     threshold d - threshold, and its TOP probability is one upper tail.
     """
-    if not d >= 0:
-        raise ParameterError(f"d must be nonnegative, got {d}")
+    check_above("d", d, inclusive=True)
     return above_hypothesis(
         lambda ds: -evaluator(ds), d - threshold, epsilon_prime, sensitivity
     )
@@ -147,10 +147,7 @@ class RepetitiveSvt:
     """Answer a stream of threshold queries under one global TOP budget."""
 
     def __init__(self, config: SvtConfig, state: FrameworkState):
-        if state.gamma != config.gamma:
-            raise ParameterError(
-                f"state gamma {state.gamma} does not match config gamma {config.gamma}"
-            )
+        check_gamma(state.gamma, config.gamma)
         self.config = config
         self.state = state
         self.charged = 0
