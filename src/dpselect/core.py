@@ -87,6 +87,9 @@ class Mechanism:
     delta: float = 0.0
     batch: Callable[[Dataset, RandomStream, int], Any] | None = None
 
+    def __post_init__(self):
+        check_above("delta", self.delta, inclusive=True)
+
 
 @dataclass(frozen=True)
 class Hypothesis:
@@ -103,6 +106,9 @@ class Hypothesis:
     epsilon: float
     delta: float = 0.0
     top_probability: Callable[[Dataset], float] | None = None
+
+    def __post_init__(self):
+        check_above("delta", self.delta, inclusive=True)
 
 
 class PrivacyCost(NamedTuple):

@@ -58,6 +58,8 @@ def check_count(name: str, value: int, least: int = 1, most: int | None = None) 
         rule = f"an integer in [{least}, {most}]"
     elif least == 1:
         rule = "a positive integer"
+    elif least == 0:
+        rule = "a nonnegative integer"
     else:
         rule = f"at least {least} (an integer)"
     raise ParameterError(f"{name} must be {rule}, got {value}")

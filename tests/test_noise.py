@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import stats
 import oracles
 from dpselect.errors import ParameterError
 from dpselect.noise import (
+    _SINGLE_CHILDREN,
     RandomStream,
     TruncatedLaplaceParams,
     exponential_mechanism,
@@ -44,6 +46,108 @@ def test_split_accepts_multiple_indices():
     other = RandomStream(7).split(2, 1).generator.random()
     assert one == two
     assert one != other
+
+
+def _assert_numpy_stream(stream, seed, path):
+    """``stream`` is numpy's PCG64(SeedSequence(seed, spawn_key=path)), bit for bit."""
+    expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path))
+    bits = stream.generator.bit_generator
+    assert bits.state == expected.state, (seed, path)
+    assert np.array_equal(bits.random_raw(8), expected.random_raw(8)), (seed, path)
+
+
+def _takes_hash_route(stream):
+    return not isinstance(stream.generator.bit_generator.seed_seq, np.random.SeedSequence)
+
+
+_LAST_WORD = 2**32 - 1
+
+
+@pytest.mark.parametrize(
+    "seed,path",
+    [
+        (0, ()),
+        (0, (0,)),
+        (0, (1,)),
+        (0, (127,)),
+        (0, (128,)),
+        (2**32 + 7, (3,)),
+        (2**40 + 5, (2, 9)),
+        (2**74 + 9, (1, 2, 3)),
+        (2**128 - 1, (5,)),
+        (2**128 + 1, (5, 0)),
+        (2**200, (0, 3)),
+        (7, (_LAST_WORD,)),
+        (7, (_LAST_WORD, 4)),
+        (7, (4, _LAST_WORD)),
+        (7, (2**32,)),
+        (7, (2**32 + 1, 4)),
+        (7, (4, 2**40)),
+    ],
+)
+def test_streams_match_numpy_seed_sequence(seed, path):
+    hash_route = bool(path) and max(path) <= _LAST_WORD
+    root = RandomStream(seed)
+    parent = RandomStream(seed)
+    for key in path[:-1]:
+        parent = parent.split(key)
+    # The first children under a prefix are hashed singly, the next from a block.
+    for _ in range(_SINGLE_CHILDREN + 1):
+        for stream in (root.split(*path), parent.split(*path[-1:])):
+            _assert_numpy_stream(stream, seed, path)
+            assert _takes_hash_route(stream) == hash_route
+    # A stream built directly with its path takes numpy's route.
+    direct = RandomStream(seed, path)
+    _assert_numpy_stream(direct, seed, path)
+    assert not _takes_hash_route(direct)
+
+
+def test_sibling_streams_match_numpy_in_any_split_order():
+    root = RandomStream(11)
+    middle = root.split(6)
+    for key in [300, 5, 129, 5, 0, 300, 127, 128, 2**32, 5, 4000, 3999]:
+        _assert_numpy_stream(root.split(key), 11, (key,))
+        _assert_numpy_stream(root.split(6, key), 11, (6, key))
+        _assert_numpy_stream(middle.split(key), 11, (6, key))
+    two = root.split(3, 4).generator.random(4)
+    assert np.array_equal(two, root.split(3).split(4).generator.random(4))
+
+
+@given(
+    seed=st.integers(0, 2**140),
+    path=st.lists(
+        st.one_of(st.integers(0, 300), st.integers(2**32 - 2, 2**32 + 1),
+                  st.integers(0, 2**32 - 1)),
+        min_size=0,
+        max_size=4,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_split_streams_are_numpy_streams(seed, path):
+    path = tuple(path)
+    root = RandomStream(seed)
+    parent = root
+    for key in path[:-1]:
+        parent = parent.split(key)
+    for _ in range(_SINGLE_CHILDREN + 1):
+        _assert_numpy_stream(root.split(*path), seed, path)
+        _assert_numpy_stream(parent.split(*path[-1:]), seed, path)
+
+
+def test_split_streams_pickle_mid_sequence():
+    root = RandomStream(3)
+    for key in range(_SINGLE_CHILDREN + 1):
+        stream = root.split(key)
+        stream.generator.random(3)
+        restored = pickle.loads(pickle.dumps(stream))
+        assert np.array_equal(restored.generator.random(4), stream.generator.random(4))
+
+
+def test_numpy_integer_seeds_and_keys_are_plain_ints():
+    stream = RandomStream(np.int64(3)).split(np.uint32(2), np.int8(1))
+    assert stream == RandomStream(3, (2, 1))
+    assert all(type(key) is int for key in (stream.seed, *stream.path))
+    _assert_numpy_stream(stream, 3, (2, 1))
 
 
 def test_laplace_location_and_spread():

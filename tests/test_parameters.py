@@ -66,6 +66,8 @@ NONNEGATIVE = (NAN, -1)
 UNIT = (NAN, 0, 1, -1)
 COUNT = (NAN, 0, -1, 2.5, True)
 COUNT_FROM_2 = COUNT + (1,)
+# A float or a bool key would alias another stream: 2.7 and 2 both gave path (2,).
+STREAM_KEY = (NAN, -1, 2.7, 10.0, True)
 
 _ADVERSARY = DeterministicAdversary.from_probabilities([(0.5, 0.45)] * 3, 0.2)
 _QUERIES = [lambda ds: 0.0, lambda ds: 1.0]
@@ -114,6 +116,9 @@ def _svt(**changes):
 
 # (entry point, parameter named in the refusal, bad values, call with the value)
 CASES = [
+    ("RandomStream", "seed", STREAM_KEY, RandomStream),
+    ("RandomStream", "stream key", STREAM_KEY, lambda v: RandomStream(0, (1, v))),
+    ("RandomStream.split", "stream key", STREAM_KEY, lambda v: RandomStream(0).split(1, v)),
     ("TruncatedLaplaceParams", "epsilon", POSITIVE, lambda v: TruncatedLaplaceParams(v, 0.1)),
     ("TruncatedLaplaceParams", "delta", UNIT, lambda v: TruncatedLaplaceParams(1.0, v)),
     ("sample_laplace", "scale", POSITIVE, lambda v: sample_laplace(RandomStream(0), v)),
@@ -128,6 +133,8 @@ CASES = [
      lambda v: AccountantLedger().register(v)),
     ("approx_dp_cost", "delta_target", UNIT,
      lambda v: core.approx_dp_cost(AccountantLedger(), 1.0, v)),
+    ("Mechanism", "delta", NONNEGATIVE, lambda v: Mechanism(lambda ds, s: 1.0, 0.1, v)),
+    ("Hypothesis", "delta", NONNEGATIVE, lambda v: Hypothesis(lambda ds, s: BOT, 0.1, v)),
     ("selection", "tau", COUNT,
      lambda v: forced_state().selection(v, [Mechanism(lambda ds, s: 1.0, 0.1)])),
     ("test_batch", "count", COUNT,
