@@ -518,22 +518,22 @@ def main(argv=None) -> int:
         config = _load_config(args.command, args.config)
         stream = RandomStream(args.seed)
         rows, failures = _RUNNERS[args.command](config, trials, stream, args.pure_dp)
+        header = {
+            "command": args.command,
+            "config": config,
+            "pure_dp": args.pure_dp,
+            "seed": args.seed,
+            "trials": trials,
+        }
+        text = _render(args.command, header, rows)
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except (ParameterError, OSError, json.JSONDecodeError, UnicodeDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    header = {
-        "command": args.command,
-        "config": config,
-        "pure_dp": args.pure_dp,
-        "seed": args.seed,
-        "trials": trials,
-    }
-    text = _render(args.command, header, rows)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return 1 if failures else 0
 
 

@@ -6,13 +6,12 @@ substreams to parallel trials.  All scales and exponents use natural
 logarithms; ``Lap(b)`` means the density (1/2b) exp(-|v|/b).
 
 The stream at (seed, path) is byte-identical to numpy's
-``PCG64(SeedSequence(seed, spawn_key=path))``.  A stream made by ``split``
-with every key below 2**32 gets its PCG64 seed words by repeating
-SeedSequence's hash: its parent hashes the first few children under a prefix
-one at a time and the rest a block of siblings at once, in uint32 arrays.
-The root stream, a stream built directly with a path (``RandomStream(seed,
-path)``), and any path with a key of 2**32 or more take numpy's own
-SeedSequence route.
+``PCG64(SeedSequence(seed, spawn_key=path))``.  The root stream and any path
+with a key of 2**32 or more take numpy's own SeedSequence route.  Every
+other path gets its PCG64 seed words by repeating SeedSequence's hash for
+the aligned block of 128 siblings that holds its last key, in uint32
+arrays; a small cache keeps the latest blocks, so siblings split one after
+another share one hash.
 """
 
 from __future__ import annotations
@@ -32,14 +31,14 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
 # Output word i of generate_state hashes pool word i % 4: it is xored with
 # B_i and multiplied by B_(i+1), where B_i = INIT_B * MULT_B**i.
-_OUTPUT_HASH = tuple(_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(9))
-_OUTPUT_COLUMN = np.array(_OUTPUT_HASH, dtype=np.uint32)[:, None]
-# A stream derives its first few children under a prefix one at a time and
-# the rest a block at a time: one block costs about as much as three singles.
-_SINGLE_CHILDREN = 3
+_OUTPUT_HASH = np.array(
+    [_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(9)], dtype=np.uint32
+)[:, None]
+# The entropy hash's constant after ``h`` uses is INIT_A * MULT_A**h; these
+# are its steps to the next four uses.
+_ENTROPY_STEPS = np.array([pow(_MULT_A, i, 1 << 32) for i in range(5)], dtype=np.uint32)[:, None]
 _SIBLING_BLOCK = 128
 
 
@@ -64,8 +63,9 @@ class RandomStream:
     ``split`` extends the path, which yields a substream independent of the
     parent and of every sibling.  The seed and every key are nonnegative
     integers; the stream is numpy's ``PCG64(SeedSequence(seed,
-    spawn_key=path))``, bit for bit, however it was derived (see the module
-    docstring for which streams take numpy's route).
+    spawn_key=path))``, bit for bit, whichever route derives it: the root
+    and any path with a key of 2**32 or more take numpy's, every other path
+    the sibling-block hash (see the module docstring).
     """
 
     seed: int
@@ -75,31 +75,29 @@ class RandomStream:
         self.seed = _stream_key("seed", self.seed)
         self.path = tuple(_stream_key("stream key", key) for key in self.path)
         self._generator: np.random.Generator | None = None
-        # The stream ``split`` was called on, and the seed words this stream
-        # has derived for the children split from it under one prefix.
-        self._origin: RandomStream | None = None
-        self._siblings: _Siblings | None = None
 
     @property
     def generator(self) -> np.random.Generator:
         if self._generator is None:
-            origin = self._origin
-            if origin is not None and self.path and max(self.path) <= _MASK32:
-                prefix = self.path[:-1]
-                siblings = origin._siblings
-                if siblings is None or siblings.prefix != prefix:
-                    siblings = origin._siblings = _Siblings(self.seed, prefix)
-                seeds = _given_seed(siblings.words(self.path[-1]))
+            path = self.path
+            if path and max(path) <= _MASK32:
+                key = path[-1]
+                offset = key % _SIBLING_BLOCK
+                block = _sibling_words(self.seed, path[:-1], key - offset)
+                seeds = _given_seed(block[offset])
             else:
-                seeds = np.random.SeedSequence(self.seed, spawn_key=self.path)
+                seeds = np.random.SeedSequence(self.seed, spawn_key=path)
             self._generator = np.random.Generator(np.random.PCG64(seeds))
         return self._generator
 
     def split(self, *indices: int) -> "RandomStream":
-        """Child stream at ``path + indices``, untouched by the parent's use."""
-        child = RandomStream(self.seed, self.path + indices)
-        child._origin = self
-        return child
+        """Child stream at ``path + indices``, untouched by the parent's use.
+
+        At least one index is needed: with none the child would be the parent.
+        """
+        if not indices:
+            raise ParameterError("split keys must number at least one")
+        return RandomStream(self.seed, self.path + indices)
 
 
 def _given_seed(words: np.ndarray):
@@ -131,103 +129,37 @@ def _given_seed_type() -> type:
     return GivenSeed
 
 
-@functools.lru_cache(maxsize=64)
-def _run_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    """SeedSequence(seed)'s pool and how many entropy hashes built it.
+@functools.lru_cache(maxsize=32)
+def _sibling_words(seed: int, prefix: tuple[int, ...], start: int) -> np.ndarray:
+    """PCG64 seed words of the streams (seed, prefix + (k,)), k = start .. start + 127.
 
-    With a spawn key numpy pads the run entropy with zero words to the pool
-    size, and a zero word hashes exactly as the run-out of a short seed
-    does, so every path of ``seed`` starts from this pool.
+    Key k's words are row k - start of a read-only array, so the cache can
+    share it.  SeedSequence mixes each spawn-key word into its pool after the
+    run entropy, with hash constants that depend only on how many words came
+    before: 4 per word, and the run entropy counts at least 4 words.  So
+    every child's pool is the prefix's pool with the child's key mixed in,
+    which is done here for the whole block at once in uint32 arrays, one
+    pool word per array row.
     """
-    run_words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
-    pool = np.random.SeedSequence(seed).pool
-    return tuple(int(word) for word in pool), _POOL_SIZE * run_words
-
-
-@functools.lru_cache(maxsize=None)
-def _entropy_hash(hashes: int) -> tuple[int, ...]:
-    """The 5 values SeedSequence's entropy hash constant takes from its use ``hashes`` on."""
-    consts = [_INIT_A * pow(_MULT_A, hashes, 1 << 32) & _MASK32]
-    for _ in range(_POOL_SIZE):
-        consts.append(consts[-1] * _MULT_A & _MASK32)
-    return tuple(consts)
-
-
-def _mix_in(pool: tuple[int, ...], hashes: int, key: int) -> tuple[tuple[int, ...], int]:
-    """The pool after SeedSequence mixes in one more entropy word, ``key``.
-
-    Pool word i is mixed with the key's i-th hash.
-    """
-    consts = _entropy_hash(hashes)
-    mixed = []
-    for i, word in enumerate(pool):
-        value = (key ^ consts[i]) * consts[i + 1] & _MASK32
-        value ^= value >> 16
-        word = (_MIX_L * word - _MIX_R * value) & _MASK32
-        mixed.append(word ^ word >> 16)
-    return tuple(mixed), hashes + _POOL_SIZE
-
-
-def _seed_words(state: np.ndarray) -> np.ndarray:
-    """``generate_state(4, uint64)``'s reading of its uint32 words: little-endian pairs."""
-    return state.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
-
-
-class _Siblings:
-    """PCG64 seed words of the streams (seed, prefix + (k,)) for any key k below 2**32.
-
-    SeedSequence mixes spawn-key words into its pool one at a time, after
-    the run entropy, with hash constants that depend only on how many words
-    came before.  So the prefix's pool is mixed once, and each child's pool
-    is that pool with the child's key mixed in.  ``words`` hashes the first
-    few children one at a time in Python ints, then a block of siblings at
-    once in uint32 arrays, one row of the pool per array row.
-    """
-
-    def __init__(self, seed: int, prefix: tuple[int, ...]):
-        pool, hashes = _run_pool(seed)
-        for key in prefix:
-            pool, hashes = _mix_in(pool, hashes, key)
-        self.prefix = prefix
-        self.pool = pool
-        self.hashes = hashes
-        self.singles = 0
-        self.start = -1
-        self.block: np.ndarray | None = None
-
-    def words(self, key: int) -> np.ndarray:
-        start = key - key % _SIBLING_BLOCK
-        if start != self.start:
-            if self.singles < _SINGLE_CHILDREN:
-                self.singles += 1
-                return self._single(key)
-            self.start, self.block = start, self._block(start)
-        return self.block[key - start]
-
-    def _single(self, key: int) -> np.ndarray:
-        pool, _ = _mix_in(self.pool, self.hashes, key)
-        state = []
-        for i in range(2 * _POOL_SIZE):
-            value = (pool[i % _POOL_SIZE] ^ _OUTPUT_HASH[i]) * _OUTPUT_HASH[i + 1] & _MASK32
-            state.append(value ^ value >> 16)
-        return _seed_words(np.array(state, dtype=np.uint32))
-
-    def _block(self, start: int) -> np.ndarray:
-        # _mix_in for a row of keys: row i of ``value`` is their i-th hash.
-        consts = np.array(_entropy_hash(self.hashes), dtype=np.uint32)[:, None]
-        value = np.arange(start, start + _SIBLING_BLOCK, dtype=np.uint32) ^ consts[:-1]
-        value *= consts[1:]
-        value ^= value >> 16
-        value *= _MIX_R
-        left = np.array([_MIX_L * word & _MASK32 for word in self.pool], dtype=np.uint32)
-        pools = left[:, None] - value
-        pools ^= pools >> 16
-        # generate_state's 8 output words cycle through the pool twice.
-        state = np.concatenate((pools, pools))
-        state ^= _OUTPUT_COLUMN[:-1]
-        state *= _OUTPUT_COLUMN[1:]
-        state ^= state >> 16
-        return _seed_words(state.T)
+    pool = np.random.SeedSequence(seed, spawn_key=prefix).pool
+    hashes = 4 * (max(4, -(-seed.bit_length() // 32)) + len(prefix))
+    consts = _ENTROPY_STEPS * np.uint32(_INIT_A * pow(_MULT_A, hashes, 1 << 32) & _MASK32)
+    # Row i of ``value`` is each key's i-th entropy hash, mixed into pool word i.
+    value = np.arange(start, start + _SIBLING_BLOCK, dtype=np.uint32) ^ consts[:-1]
+    value *= consts[1:]
+    value ^= value >> 16
+    value *= _MIX_R
+    pools = (pool * np.uint32(_MIX_L))[:, None] - value
+    pools ^= pools >> 16
+    # generate_state's 8 output words cycle through the pool twice and are
+    # read as 4 little-endian uint64 pairs.
+    state = np.concatenate((pools, pools))
+    state ^= _OUTPUT_HASH[:-1]
+    state *= _OUTPUT_HASH[1:]
+    state ^= state >> 16
+    words = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+    words.flags.writeable = False
+    return words
 
 
 @dataclass(frozen=True)

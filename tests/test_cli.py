@@ -131,6 +131,11 @@ def test_negative_seed_exits_2(capsys, command):
     _assert_refused(capsys, [command, "--seed", "-1", "--trials", "1"])
 
 
+@pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-dir", "a-directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, out):
+    _assert_refused(capsys, ["accountant", "--trials", "1", "--out", str(tmp_path / out)])
+
+
 def test_non_utf8_config_exits_2(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_bytes(b'{"length": 8, "note": "\xff"}')

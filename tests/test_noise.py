@@ -1,5 +1,9 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import dpselect
 import oracles
 from dpselect.errors import ParameterError
 from dpselect.noise import (
-    _SINGLE_CHILDREN,
     RandomStream,
     TruncatedLaplaceParams,
+    _sibling_words,
     exponential_mechanism,
     sample_laplace,
     sample_pass_probability,
@@ -91,15 +96,18 @@ def test_streams_match_numpy_seed_sequence(seed, path):
     parent = RandomStream(seed)
     for key in path[:-1]:
         parent = parent.split(key)
-    # The first children under a prefix are hashed singly, the next from a block.
-    for _ in range(_SINGLE_CHILDREN + 1):
-        for stream in (root.split(*path), parent.split(*path[-1:])):
+    # The first derivation hashes the sibling block, the second reads the cache.
+    _sibling_words.cache_clear()
+    for _ in range(2):
+        # ``split`` needs a key, so a fresh root stands for its empty split.
+        splits = (root.split(*path), parent.split(*path[-1:])) if path else (RandomStream(seed),)
+        for stream in splits:
             _assert_numpy_stream(stream, seed, path)
             assert _takes_hash_route(stream) == hash_route
-    # A stream built directly with its path takes numpy's route.
+    # A stream built directly with its path takes the same route.
     direct = RandomStream(seed, path)
     _assert_numpy_stream(direct, seed, path)
-    assert not _takes_hash_route(direct)
+    assert _takes_hash_route(direct) == hash_route
 
 
 def test_sibling_streams_match_numpy_in_any_split_order():
@@ -129,18 +137,49 @@ def test_split_streams_are_numpy_streams(seed, path):
     parent = root
     for key in path[:-1]:
         parent = parent.split(key)
-    for _ in range(_SINGLE_CHILDREN + 1):
-        _assert_numpy_stream(root.split(*path), seed, path)
-        _assert_numpy_stream(parent.split(*path[-1:]), seed, path)
+    _sibling_words.cache_clear()
+    for _ in range(2):
+        _assert_numpy_stream(RandomStream(seed, path), seed, path)
+        if path:
+            _assert_numpy_stream(root.split(*path), seed, path)
+            _assert_numpy_stream(parent.split(*path[-1:]), seed, path)
 
 
 def test_split_streams_pickle_mid_sequence():
     root = RandomStream(3)
-    for key in range(_SINGLE_CHILDREN + 1):
+    _sibling_words.cache_clear()
+    for key in range(2):
         stream = root.split(key)
         stream.generator.random(3)
-        restored = pickle.loads(pickle.dumps(stream))
+        data = pickle.dumps(stream)
+        # The stream travels alone: no parent, no block of its siblings' words.
+        assert len(data) < 1024
+        restored = pickle.loads(data)
         assert np.array_equal(restored.generator.random(4), stream.generator.random(4))
+
+
+def test_cache_misses_still_match_numpy():
+    prefixes = [(prefix,) for prefix in range(_sibling_words.cache_info().maxsize + 1)]
+    _sibling_words.cache_clear()
+    # Round-robin over more prefixes than the cache holds: every lookup misses.
+    for key in (0, 1, 200):
+        for prefix in prefixes:
+            _assert_numpy_stream(RandomStream(13).split(*prefix, key), 13, (*prefix, key))
+    info = _sibling_words.cache_info()
+    assert (info.hits, info.misses) == (0, 3 * len(prefixes))
+    block = _sibling_words(13, prefixes[-1], 128)
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 0
+
+
+def test_import_loads_no_numpy_random():
+    env = dict(os.environ, PYTHONPATH=str(Path(dpselect.__file__).parents[1]))
+    code = "import sys, dpselect; print([m for m in sys.modules if m.startswith('numpy.random')])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_numpy_integer_seeds_and_keys_are_plain_ints():

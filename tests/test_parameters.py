@@ -119,6 +119,9 @@ CASES = [
     ("RandomStream", "seed", STREAM_KEY, RandomStream),
     ("RandomStream", "stream key", STREAM_KEY, lambda v: RandomStream(0, (1, v))),
     ("RandomStream.split", "stream key", STREAM_KEY, lambda v: RandomStream(0).split(1, v)),
+    # With no key, split would alias its parent's stream.
+    ("RandomStream.split", "split keys", [()],
+     lambda v: RandomStream(4).split(2).split(*v)),
     ("TruncatedLaplaceParams", "epsilon", POSITIVE, lambda v: TruncatedLaplaceParams(v, 0.1)),
     ("TruncatedLaplaceParams", "delta", UNIT, lambda v: TruncatedLaplaceParams(1.0, v)),
     ("sample_laplace", "scale", POSITIVE, lambda v: sample_laplace(RandomStream(0), v)),
