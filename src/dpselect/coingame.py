@@ -8,6 +8,15 @@ round-indexed deterministic schedules, the exact Renyi and max divergences
 of the truncated game's transcripts, for any k and truncation cap, by one
 forward recurrence over (round, ones seen).
 
+A schedule is two read-only float64 vectors, ``ps`` and ``qs``, checked
+against the promise in one array pass; a random schedule takes all its
+uniforms in one draw.  At k = 1 the recurrence has one live state, so it
+runs as array code: the state's value is the running product (cumprod) of
+the rounds' zero factors, and the result is the in-order cumulative sum
+(or the max) of the halting outcomes' values and the survivor's.  Each
+float operation is the round-by-round recurrence's own, in its order, so
+the doubles are the same.  For k > 1 the recurrence runs round by round.
+
 Conventions: a truncation at cap m keeps each transcript still running
 after m rounds as its own outcome; for k = 1 that is the single event
 "no one in m rounds", so the k = 1 outcomes are the halting rounds
@@ -19,6 +28,7 @@ reads E <= exp((alpha - 1) * B).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -32,6 +42,39 @@ from .noise import RandomStream
 _PROMISE_TOL = 1e-12
 _Q_LOW = 0.05
 _Q_HIGH = 0.95
+# The promise's rules, in the order a pair is checked against them.
+_PROMISE_RULES = (
+    "probabilities must lie in [0, 1]",
+    "q <= p fails",
+    "p <= exp(eps) * q fails",
+    "(1 - q) <= exp(eps) * (1 - p) fails",
+    "(1 - p) <= exp(eps) * (1 - q) fails",
+)
+
+
+def _promise_violation(ps: np.ndarray, qs: np.ndarray, epsilon: float) -> tuple[int, str] | None:
+    """(index, wording) of the first pair that breaks the promise, or None.
+
+    The wording names that pair's first broken rule: the range (NaN breaks
+    it), then q <= p, then the three exp(eps) closeness inequalities.
+    """
+    check_above("epsilon", epsilon)
+    grow = math.exp(epsilon)
+    rest_p, rest_q = 1.0 - ps, 1.0 - qs
+    with np.errstate(invalid="ignore"):
+        broken = np.array((
+            ~((np.minimum(ps, qs) >= 0.0) & (np.maximum(ps, qs) <= 1.0)),
+            qs > ps + _PROMISE_TOL,
+            ps > grow * qs + _PROMISE_TOL,
+            rest_q > grow * rest_p + _PROMISE_TOL,
+            rest_p > grow * rest_q + _PROMISE_TOL,
+        ))
+    # Pair-major order: the first True is the first broken pair's first broken rule.
+    first = int(broken.T.argmax())
+    index, rule = divmod(first, len(_PROMISE_RULES))
+    if not broken[rule, index]:
+        return None
+    return index, f"{_PROMISE_RULES[rule]}: p={float(ps[index])}, q={float(qs[index])}"
 
 
 @dataclass(frozen=True)
@@ -43,49 +86,56 @@ class QueryPair:
     epsilon: float
 
     def __post_init__(self):
-        check_above("epsilon", self.epsilon)
-        if not (0.0 <= self.q <= 1.0 and 0.0 <= self.p <= 1.0):
-            raise PromiseViolation(f"probabilities must lie in [0, 1]: p={self.p}, q={self.q}")
-        grow = math.exp(self.epsilon)
-        if self.q > self.p + _PROMISE_TOL:
-            raise PromiseViolation(f"q <= p fails: p={self.p}, q={self.q}")
-        if self.p > grow * self.q + _PROMISE_TOL:
-            raise PromiseViolation(f"p <= exp(eps) * q fails: p={self.p}, q={self.q}")
-        if (1.0 - self.q) > grow * (1.0 - self.p) + _PROMISE_TOL:
-            raise PromiseViolation(
-                f"(1 - q) <= exp(eps) * (1 - p) fails: p={self.p}, q={self.q}"
-            )
-        if (1.0 - self.p) > grow * (1.0 - self.q) + _PROMISE_TOL:
-            raise PromiseViolation(
-                f"(1 - p) <= exp(eps) * (1 - q) fails: p={self.p}, q={self.q}"
-            )
+        found = _promise_violation(np.array([self.p]), np.array([self.q]), self.epsilon)
+        if found is not None:
+            raise PromiseViolation(found[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeterministicAdversary:
-    """A pre-committed schedule of query pairs, one per round."""
+    """A pre-committed schedule of query pairs, one per round.
 
-    pairs: tuple[QueryPair, ...]
+    Round i flips a coin of chance ``ps[i]`` under bit 0 and ``qs[i]`` under
+    bit 1.  Both are read-only float64 vectors, checked against the promise
+    once, on construction; a broken pair is named by its 1-based position.
+    """
+
+    ps: np.ndarray
+    qs: np.ndarray
     epsilon: float
+
+    def __post_init__(self):
+        ps = np.array(self.ps, dtype=np.float64)
+        qs = np.array(self.qs, dtype=np.float64)
+        if ps.ndim != 1 or ps.shape != qs.shape:
+            raise ParameterError(
+                f"ps and qs must be vectors of one length, got shapes {ps.shape}, {qs.shape}"
+            )
+        if not ps.size:
+            raise ParameterError("schedule must contain at least one pair")
+        found = _promise_violation(ps, qs, self.epsilon)
+        if found is not None:
+            raise PromiseViolation(f"pair {found[0] + 1}: {found[1]}")
+        for name, values in (("ps", ps), ("qs", qs)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @classmethod
     def from_probabilities(
         cls, pairs: Iterable[tuple[float, float]], epsilon: float
     ) -> "DeterministicAdversary":
-        validated = tuple(QueryPair(float(p), float(q), epsilon) for p, q in pairs)
-        if not validated:
-            raise ParameterError("schedule must contain at least one pair")
-        return cls(validated, epsilon)
+        table = np.array([(p, q) for p, q in pairs], dtype=np.float64).reshape(-1, 2)
+        return cls(table[:, 0], table[:, 1], epsilon)
+
+    @functools.cached_property
+    def pairs(self) -> tuple[QueryPair, ...]:
+        """The schedule as ``QueryPair`` objects, built on first use."""
+        return tuple(
+            QueryPair(p, q, self.epsilon) for p, q in zip(self.ps.tolist(), self.qs.tolist())
+        )
 
     def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def _chances(adversary: DeterministicAdversary, b: int) -> np.ndarray:
-    if b not in (0, 1):
-        raise ParameterError(f"b must be 0 or 1, got {b}")
-    attr = "p" if b == 0 else "q"
-    return np.array([getattr(pair, attr) for pair in adversary.pairs])
+        return self.ps.size
 
 
 def _step(mass_p: float, mass_q: float, alpha: float | None) -> float:
@@ -109,12 +159,38 @@ def _transcript_fold(
     or at round ``cap``.  Outcomes of zero P mass contribute nothing, and a
     positive-P, zero-Q outcome makes the result +inf.
     """
+    ps, qs = adversary.ps[:cap], adversary.qs[:cap]
+    if k == 1:
+        # One live state, so the recurrence runs as array code, with its own
+        # float operations in its order.  Row 0 holds each round's factor
+        # for a one, row 1 for a zero, as ``_step`` computes them; P = 0
+        # gives 0 or NaN (0 / 0).  np.float_power calls the C library's
+        # pow, as Python's ** does; np.power may take a SIMD pow that
+        # differs in the last bit.  The state's value before each round is
+        # the running product of the earlier zero factors; the outcomes are
+        # that value times the round's one factor (a halt there), then the
+        # survivor's.
+        mass_p = np.array((ps, 1.0 - ps))
+        mass_q = np.array((qs, 1.0 - qs))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            factors = mass_p / mass_q
+            if alpha is not None:
+                factors = mass_p * np.float_power(factors, alpha - 1.0)
+            one, zero = factors
+            values = np.cumprod(np.concatenate(([1.0], zero)))
+            values[:-1] *= one
+        # A NaN, from 0 / 0 or 0 * inf, marks an outcome the recurrence skips
+        # as zero-mass, and it spreads down the running product just as the
+        # recurrence's zero does; fmax reads it as 0.
+        np.fmax(values, 0.0, out=values)
+        # cumsum adds in round order, as the recurrence does; sum() would not.
+        return float(values.max() if alpha is None else values.cumsum()[-1])
     fold = max if alpha is None else operator.add
     alive = [1.0] + [0.0] * (k - 1)
     halted = 0.0
-    for pair in adversary.pairs[:cap]:
-        one = _step(pair.p, pair.q, alpha)
-        zero = _step(1.0 - pair.p, 1.0 - pair.q, alpha)
+    for p, q in zip(ps.tolist(), qs.tolist()):
+        one = _step(p, q, alpha)
+        zero = _step(1.0 - p, 1.0 - q, alpha)
         following = [0.0] * k
         for ones, value in enumerate(alive):
             if value == 0.0:
@@ -162,8 +238,7 @@ def enumerate_transcripts(
     """
     check_count("k", k)
     check_count("cap", cap, most=len(adversary))
-    ps = _chances(adversary, 0)
-    qs = _chances(adversary, 1)
+    ps, qs = adversary.ps.tolist(), adversary.qs.tolist()
     probs_p: list[float] = []
     probs_q: list[float] = []
     # Depth-first walk over (round, ones, mass under P, mass under Q).
@@ -211,13 +286,12 @@ def random_valid_schedule(
     q and the largest value both closeness inequalities allow.
     """
     check_count("length", length)
-    generator = stream.generator
     grow = math.exp(epsilon)
     shrink = math.exp(-epsilon)
-    pairs = []
-    for _ in range(length):
-        q = _Q_LOW + (_Q_HIGH - _Q_LOW) * generator.random()
-        p_cap = min(grow * q, 1.0 - (1.0 - q) * shrink)
-        p = q + (p_cap - q) * generator.random()
-        pairs.append((p, q))
-    return DeterministicAdversary.from_probabilities(pairs, epsilon)
+    # Column 0 is q's uniform and column 1 is p's: the order of one draw per
+    # value, round by round.
+    uniforms = stream.generator.random((length, 2))
+    qs = _Q_LOW + (_Q_HIGH - _Q_LOW) * uniforms[:, 0]
+    p_caps = np.minimum(grow * qs, 1.0 - (1.0 - qs) * shrink)
+    ps = qs + (p_caps - qs) * uniforms[:, 1]
+    return DeterministicAdversary(ps, qs, epsilon)

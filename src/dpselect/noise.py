@@ -84,7 +84,8 @@ class RandomStream:
                 key = path[-1]
                 offset = key % _SIBLING_BLOCK
                 block = _sibling_words(self.seed, path[:-1], key - offset)
-                seeds = _given_seed(block[offset])
+                # A copy of the row: a view would keep the whole block alive.
+                seeds = _given_seed(block[offset].copy())
             else:
                 seeds = np.random.SeedSequence(self.seed, spawn_key=path)
             self._generator = np.random.Generator(np.random.PCG64(seeds))

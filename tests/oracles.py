@@ -91,6 +91,62 @@ def max_log_ratio_loop(ps, qs) -> float:
     return math.log(best) if best > 0 else 0.0
 
 
+def random_schedule_loop(generator, length: int, epsilon: float):
+    """A random promise-respecting schedule, drawn one uniform at a time.
+
+    Each round draws q uniformly in [0.05, 0.95], then p uniformly between q
+    and the largest value both closeness inequalities allow.  Returns the
+    (ps, qs) lists.
+    """
+    grow, shrink = math.exp(epsilon), math.exp(-epsilon)
+    ps, qs = [], []
+    for _ in range(length):
+        q = 0.05 + (0.95 - 0.05) * generator.random()
+        p_cap = min(grow * q, 1.0 - (1.0 - q) * shrink)
+        ps.append(q + (p_cap - q) * generator.random())
+        qs.append(q)
+    return ps, qs
+
+
+def transcript_fold_loop(ps, qs, k: int, cap: int, alpha):
+    """Sum of P (P/Q)^(alpha-1), or max of P/Q when alpha is None, over the
+    truncated k-success transcripts, by the scalar recurrence over
+    (round, ones seen).
+
+    Zero-P outcomes are skipped (so a 0 * inf product never forms) and a
+    positive-P, zero-Q outcome gives +inf.
+    """
+
+    def factor(mass_p, mass_q):
+        if mass_p == 0.0:
+            return 0.0
+        if mass_q == 0.0:
+            return math.inf
+        ratio = mass_p / mass_q
+        return ratio if alpha is None else mass_p * ratio ** (alpha - 1.0)
+
+    fold = max if alpha is None else (lambda a, b: a + b)
+    alive = [1.0] + [0.0] * (k - 1)
+    halted = 0.0
+    for p, q in zip(list(ps)[:cap], list(qs)[:cap]):
+        one, zero = factor(p, q), factor(1.0 - p, 1.0 - q)
+        following = [0.0] * k
+        for ones, value in enumerate(alive):
+            if value == 0.0:
+                continue
+            if zero:
+                following[ones] = fold(following[ones], value * zero)
+            if one:
+                if ones + 1 == k:
+                    halted = fold(halted, value * one)
+                else:
+                    following[ones + 1] = fold(following[ones + 1], value * one)
+        alive = following
+    for value in alive:
+        halted = fold(halted, value)
+    return halted
+
+
 def pair_is_valid(p: float, q: float, epsilon: float, tol: float = 1e-12) -> bool:
     grow = math.exp(epsilon)
     return (

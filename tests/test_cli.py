@@ -193,6 +193,15 @@ def test_schedule_file_promise_violation_is_reported(tmp_path, capsys):
     assert "exp(eps)" in capsys.readouterr().err
 
 
+def test_schedule_file_promise_violation_names_the_pair(tmp_path, capsys):
+    schedule = tmp_path / "pairs.csv"
+    schedule.write_text("0.5,0.45\n0.6,0.55\n0.4,0.5\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"schedule_file": str(schedule)}))
+    assert cli.main(["coin-verify", "--config", str(config)]) == 2
+    assert "pair 3: q <= p fails: p=0.4, q=0.5" in capsys.readouterr().err
+
+
 def test_accountant_rejects_nonpositive_gamma(tmp_path):
     code, _ = (None, None)
     config = tmp_path / "c.json"

@@ -32,10 +32,13 @@ def test_pair_accepts_promise_respecting_values():
 
 # The fourth promise inequality (1 - p) <= exp(eps) * (1 - q) is implied by
 # q <= p, so only three messages are reachable through valid-range inputs.
+# A pair breaking several rules is named by the first: (0.3, 0.9) breaks
+# q <= p and the fourth.
 @pytest.mark.parametrize(
     "p,q,fragment",
     [
         (0.4, 0.5, "q <= p"),
+        (0.3, 0.9, "q <= p"),
         (0.9, 0.2, "p <= exp(eps) * q"),
         (0.95, 0.9, "(1 - q) <= exp(eps) * (1 - p)"),
     ],
@@ -46,11 +49,34 @@ def test_pair_names_each_violated_inequality(p, q, fragment):
     assert fragment in str(info.value)
 
 
+def test_schedule_names_its_first_broken_pair():
+    pairs = [(0.5, 0.45), (0.6, 0.55), (0.4, 0.5), (1.2, 0.5)]
+    with pytest.raises(PromiseViolation, match=r"^pair 3: q <= p fails: p=0.4, q=0.5$"):
+        adversary(pairs, 0.2)
+    with pytest.raises(ParameterError, match="at least one pair"):
+        adversary([], 0.2)
+
+
+def test_schedule_holds_read_only_float_vectors():
+    pairs = [[0.5, 0.45], [0.6, 0.55]]
+    adv = adversary(pairs, 0.2)
+    pairs[0][0] = 0.9
+    assert adv.ps.tolist() == [0.5, 0.6] and adv.qs.tolist() == [0.45, 0.55]
+    assert adv.ps.dtype == adv.qs.dtype == np.float64
+    with pytest.raises(ValueError):
+        adv.ps[0] = 0.4
+    with pytest.raises(ParameterError):
+        DeterministicAdversary(np.array([0.5, 0.6]), np.array([0.45]), 0.2)
+    assert adv.pairs == (QueryPair(0.5, 0.45, 0.2), QueryPair(0.6, 0.55, 0.2))
+
+
 def test_pair_rejects_probabilities_outside_unit_interval():
     with pytest.raises(PromiseViolation):
         QueryPair(1.2, 0.5, 0.1)
     with pytest.raises(PromiseViolation):
         QueryPair(0.5, -0.1, 0.1)
+    with pytest.raises(PromiseViolation, match=r"^probabilities must lie in \[0, 1\]"):
+        QueryPair(float("nan"), 0.5, 0.1)
 
 
 def test_game_certain_coin_halts_immediately():
@@ -112,8 +138,8 @@ def test_exact_renyi_matches_loop_oracle_at_each_horizon():
         stream = RandomStream(int(rng.integers(0, 10_000)))
         adv = random_valid_schedule(stream, length, 0.25)
         horizon = int(rng.integers(1, length + 1))
-        mass_p, tail_p = oracles.halting_law_loop([pair.p for pair in adv.pairs], horizon)
-        mass_q, tail_q = oracles.halting_law_loop([pair.q for pair in adv.pairs], horizon)
+        mass_p, tail_p = oracles.halting_law_loop(adv.ps.tolist(), horizon)
+        mass_q, tail_q = oracles.halting_law_loop(adv.qs.tolist(), horizon)
         assert sum(mass_p) + tail_p == pytest.approx(1.0)
         outcomes = list(zip(mass_p + [tail_p], mass_q + [tail_q]))
         for alpha in (1.5, 2.0, 3.5):
@@ -159,9 +185,7 @@ def test_exact_renyi_agrees_with_loop_oracle():
         length = int(rng.integers(1, 9))
         adv = random_valid_schedule(RandomStream(int(rng.integers(0, 10**6))), length, 0.3)
         alpha = float(rng.uniform(1.1, 4.0))
-        want = oracles.renyi_e_value_loop(
-            [pair.p for pair in adv.pairs], [pair.q for pair in adv.pairs], alpha
-        )
+        want = oracles.renyi_e_value_loop(adv.ps.tolist(), adv.qs.tolist(), alpha)
         assert exact_renyi(adv, alpha) == pytest.approx(want, rel=1e-12)
 
 
@@ -260,8 +284,7 @@ def test_enumeration_k1_matches_halting_law():
     for i in range(20):
         adv = random_valid_schedule(stream.split(i), 6, 0.25)
         probs_p, probs_q = enumerate_transcripts(adv, 1, 6)
-        for probs, chances in ((probs_p, [pair.p for pair in adv.pairs]),
-                               (probs_q, [pair.q for pair in adv.pairs])):
+        for probs, chances in ((probs_p, adv.ps.tolist()), (probs_q, adv.qs.tolist())):
             mass, tail = oracles.halting_law_loop(chances, 6)
             assert sorted(probs) == pytest.approx(sorted(mass + [tail]), rel=1e-12)
 
@@ -289,6 +312,14 @@ def assert_matches_enumeration(adv, k, cap):
     assert got == (math.inf if want == math.inf else pytest.approx(want, rel=1e-12))
 
 
+def fold_reference(adv, k, cap, alpha):
+    """The scalar recurrence's value, read as transcript_renyi or _max_log_ratio."""
+    value = oracles.transcript_fold_loop(adv.ps.tolist(), adv.qs.tolist(), k, cap, alpha)
+    if alpha is None:
+        return math.log(value) if value > 0 else 0.0
+    return value
+
+
 def test_recurrence_matches_enumeration_on_random_schedules():
     rng = np.random.default_rng(81)
     for _ in range(40):
@@ -300,21 +331,32 @@ def test_recurrence_matches_enumeration_on_random_schedules():
             assert_matches_enumeration(adv, k, cap)
 
 
-@pytest.mark.parametrize(
-    "pairs",
-    [
-        [(0.0, 0.0), (0.5, 0.45), (1.0, 1.0), (0.3, 0.28)],
-        [(1.0, 1.0), (0.0, 0.0), (0.6, 0.55)],
-        [(0.5, 0.45), (1e-13, 0.0), (0.4, 0.38)],
-        [(1e-13, 0.0), (1.0, 1.0), (0.0, 0.0), (0.5, 0.45)],
-    ],
-)
+# Schedules with zero-mass outcomes: a certain or impossible coin, a
+# positive-P, zero-Q one (an infinite one factor) and a 1 - p > 0 = 1 - q one
+# (an infinite zero factor).  The last two meet an infinite factor with a
+# zero-mass state and a zero factor with an infinite-value state.
+ZERO_MASS_SCHEDULES = [
+    [(0.0, 0.0), (0.5, 0.45), (1.0, 1.0), (0.3, 0.28)],
+    [(1.0, 1.0), (0.0, 0.0), (0.6, 0.55)],
+    [(0.5, 0.45), (1e-13, 0.0), (0.4, 0.38)],
+    [(1e-13, 0.0), (1.0, 1.0), (0.0, 0.0), (0.5, 0.45)],
+    [(1.0 - 1e-13, 1.0), (0.5, 0.45), (1e-13, 0.0), (0.3, 0.29)],
+    [(1.0, 1.0), (1e-13, 0.0), (1.0 - 1e-13, 1.0), (0.5, 0.45)],
+    [(1.0 - 1e-13, 1.0), (1.0, 1.0), (0.5, 0.45)],
+]
+
+
+@pytest.mark.parametrize("pairs", ZERO_MASS_SCHEDULES)
 def test_recurrence_keeps_the_zero_mass_conventions(pairs):
     # zero-P outcomes are skipped; a positive-P, zero-Q outcome gives +inf
     adv = adversary(pairs, 0.2)
     for cap in range(1, len(pairs) + 1):
         for k in range(1, cap + 1):
             assert_matches_enumeration(adv, k, cap)
+        # the array k = 1 fold gives the scalar recurrence's doubles
+        for alpha in (1.5, 2.0, 3.0):
+            assert transcript_renyi(adv, 1, alpha, cap) == fold_reference(adv, 1, cap, alpha)
+        assert transcript_max_log_ratio(adv, 1, cap) == fold_reference(adv, 1, cap, None)
 
 
 def test_long_schedule_multi_success_bounds():
@@ -368,10 +410,30 @@ def test_k_success_divergence_bounds():
 @settings(max_examples=200, deadline=None)
 def test_random_schedule_respects_promise(seed, length):
     adv = random_valid_schedule(RandomStream(seed), length, 0.3)
-    for pair in adv.pairs:
-        assert oracles.pair_is_valid(pair.p, pair.q, 0.3)
+    for p, q in zip(adv.ps.tolist(), adv.qs.tolist()):
+        assert oracles.pair_is_valid(p, q, 0.3)
 
 
 def test_random_schedule_validates_inputs():
     with pytest.raises(ParameterError):
         random_valid_schedule(RandomStream(0), 0, 0.3)
+
+
+@pytest.mark.parametrize("epsilon", [0.02, 0.1, 0.3])
+def test_schedules_and_folds_equal_the_scalar_code(epsilon):
+    # One (length, 2) draw gives the per-round draw's doubles, and the array
+    # k = 1 fold gives the recurrence's: compared with ==, not approx.
+    root = RandomStream(83).split(round(epsilon * 100))
+    for length in range(1, 301):
+        adv = random_valid_schedule(root.split(length), length, epsilon)
+        ps, qs = oracles.random_schedule_loop(root.split(length).generator, length, epsilon)
+        assert adv.ps.tolist() == ps
+        assert adv.qs.tolist() == qs
+        for alpha in (1.5, 2.0, 1.0 / (3.0 * epsilon)):
+            assert exact_renyi(adv, alpha) == fold_reference(adv, 1, length, alpha)
+        assert exact_max_divergence(adv) == fold_reference(adv, 1, length, None)
+        if length % 25 == 0:
+            for k in (1, 2, 3, 4):
+                for alpha in (1.5, 2.0):
+                    assert transcript_renyi(adv, k, alpha, 18) == fold_reference(adv, k, 18, alpha)
+                assert transcript_max_log_ratio(adv, k, 18) == fold_reference(adv, k, 18, None)

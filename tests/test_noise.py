@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,24 @@ def test_cache_misses_still_match_numpy():
     assert not block.flags.writeable
     with pytest.raises(ValueError):
         block[0, 0] = 0
+
+
+def test_split_streams_do_not_pin_their_sibling_block():
+    # A live stream keeps its own 32 seed bytes, not a view that holds the
+    # whole 4 KB block of its 128 siblings' words after the cache drops it.
+    count = 500
+    _sibling_words.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        streams = [RandomStream(21).split(prefix, 0) for prefix in range(count)]
+        for stream in streams:
+            stream.generator.random()
+        _sibling_words.cache_clear()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / count < 4096
 
 
 def test_import_loads_no_numpy_random():
