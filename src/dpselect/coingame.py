@@ -139,13 +139,22 @@ class DeterministicAdversary:
 
 
 def _step(mass_p: float, mass_q: float, alpha: float | None) -> float:
-    """One round's factor: P (P/Q)^(alpha-1), or P/Q when alpha is None."""
+    """One round's factor: P (P/Q)^(alpha-1), or P/Q when alpha is None.
+
+    A power past the largest double reads +inf, as np.float_power gives it
+    on the k = 1 path; Python's ** would raise OverflowError instead.
+    """
     if mass_p == 0.0:
         return 0.0
     if mass_q == 0.0:
         return math.inf
     ratio = mass_p / mass_q
-    return ratio if alpha is None else mass_p * ratio ** (alpha - 1.0)
+    if alpha is None:
+        return ratio
+    try:
+        return mass_p * ratio ** (alpha - 1.0)
+    except OverflowError:
+        return math.inf
 
 
 def _transcript_fold(

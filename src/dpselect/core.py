@@ -139,6 +139,10 @@ class AccountantLedger:
     delta_mass: float = 0.0
 
     def register(self, epsilon: float) -> None:
+        # A pinned ledger lets its own epsilon straight through; NaN never
+        # compares equal, so it still meets the range check below.
+        if self.base_epsilon is not None and epsilon == self.base_epsilon:
+            return
         check_above("declared epsilon", epsilon, inclusive=True)
         if self.base_epsilon is None:
             self.base_epsilon = float(epsilon)
@@ -248,8 +252,12 @@ class FrameworkState:
         Returns True when every test answered BOT.  Distribution, charging,
         and halting match a sequential loop over ``test`` that breaks on
         TOP.  When the hypothesis declares its exact TOP probability (and
-        is pure-DP), the whole stretch is resolved from one uniform draw;
-        otherwise the loop runs call by call.
+        is pure-DP), the whole stretch is resolved from at most one uniform
+        draw: the all-BOT probability (1 - rho)**count is computed first,
+        and a uniform is drawn only when it is below 1.0.  At exactly 1.0
+        the draw could only answer "pass", so skipping it keeps the law and
+        leaves the stream where it was.  Otherwise the loop runs call by
+        call.
         """
         check_count("count", count)
         if hypothesis.top_probability is None:
@@ -265,8 +273,8 @@ class FrameworkState:
         rho = self.p * float(hypothesis.top_probability(self.dataset))
         if not 0.0 <= rho <= 1.0:
             raise ParameterError(f"declared TOP probability gave gate rate {rho}")
-        log_all_bot = count * math.log1p(-rho) if rho < 1.0 else -math.inf
-        passed = bool(self.stream.generator.random() < math.exp(log_all_bot))
+        all_bot = math.exp(count * math.log1p(-rho)) if rho < 1.0 else 0.0
+        passed = all_bot == 1.0 or self.stream.generator.random() < all_bot
         if not passed:
             self.ledger.top_responses += 1
         return passed

@@ -217,6 +217,11 @@ class MwuSession:
     halts for good when the SVT's TOP budget k' runs out; a halted session
     raises HaltedError on every further query.  Its bill is read from the
     state's ledger: ``state.pure_cost()`` or ``state.approx_cost(delta)``.
+
+    The four SVT checks (above and below, at radius alpha for the guess and
+    alpha/2 for a release) are built once per session.  Their evaluators
+    fetch and return the offset mean - center (the below check its
+    negation) from a one-slot holder, so an answer allocates no check.
     """
 
     def __init__(self, config: MwuConfig, dataset: Dataset, stream: RandomStream):
@@ -229,6 +234,25 @@ class MwuSession:
         self.dataset = dataset
         self.state = core.init(config.svt.gamma, dataset, stream)
         self._svt = RepetitiveSvt(config.svt, self.state)
+        # The evaluators read a holder, not the session: a closure over the
+        # session would make a reference cycle and leave every finished
+        # session to the cyclic collector.
+        offset = [0.0]
+
+        def above(ds: Dataset) -> float:
+            ds.fetch()
+            return offset[0]
+
+        def below(ds: Dataset) -> float:
+            ds.fetch()
+            return -offset[0]
+
+        self._offset = offset
+        self._guess_checks = (SvtQuery(above, config.alpha), SvtQuery(below, config.alpha))
+        self._release_checks = (
+            SvtQuery(above, config.alpha / 2.0),
+            SvtQuery(below, config.alpha / 2.0),
+        )
         self.update_rounds = 0
         self.release_count = 0
         # Row 0 is the public histogram, row 1 the frozen empirical
@@ -249,20 +273,13 @@ class MwuSession:
     def halted(self) -> bool:
         return self._svt.halted
 
-    def _within(self, mean: float, center: float, radius: float) -> bool:
-        """Two one-sided SVT checks of |sample mean - center| <= radius."""
-
-        def above(ds: Dataset) -> float:
-            ds.fetch()
-            return mean - center
-
-        def below(ds: Dataset) -> float:
-            ds.fetch()
-            return center - mean
-
-        if self._svt.process(SvtQuery(above, radius)) is not BOT:
+    def _within(self, mean: float, center: float, checks: tuple[SvtQuery, SvtQuery]) -> bool:
+        """Two one-sided SVT checks of |sample mean - center| <= the checks' radius."""
+        self._offset[0] = mean - center
+        above, below = checks
+        if self._svt.process(above) is not BOT:
             return False
-        return self._svt.process(SvtQuery(below, radius)) is BOT
+        return self._svt.process(below) is BOT
 
     def answer(self, query) -> float:
         """Answer one linear query; may consume update budget."""
@@ -270,7 +287,7 @@ class MwuSession:
             raise HaltedError("session halted, no further queries")
         values = as_query_values(query, self.config.universe_size)
         guess, mean = (self._table @ values).tolist()
-        if self._within(mean, guess, self.config.alpha):
+        if self._within(mean, guess, self._guess_checks):
             return min(max(guess, 0.0), 1.0)
 
         # The SVT budget is the only halt needed: a failed _within settled a
@@ -287,7 +304,7 @@ class MwuSession:
             self.state.ledger.register(epsilon_prime)
             self.state.ledger.top_responses += 1
             self.release_count += 1
-            if self._within(mean, released, self.config.alpha / 2.0):
+            if self._within(mean, released, self._release_checks):
                 break
         direction = 1.0 if released >= guess else -1.0
         self._table[0] = mwu_update(self._table[0], values, direction, self.config.eta)

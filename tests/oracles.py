@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import special
 
 
 def laplace_cdf(x, scale):
@@ -180,6 +181,24 @@ def median_boost_budget(alpha: float, beta: float) -> int:
     if alpha == 1:
         return math.ceil(2.0 / beta)
     return math.ceil(5.0 * (2.0 / beta) ** (1.0 / alpha) * math.log(1.0 / beta))
+
+
+def median_boost_failure(alpha: float, tau: int) -> float:
+    """E[(1 - p/2)**tau] for a gate p of density alpha * p**(alpha - 1) on [0, 1].
+
+    Each of tau coins fires with chance p and a fired run beats the median
+    with chance at least 1/2, so this bounds the median boost's failure.
+    Putting u = p/2 gives alpha * 2**alpha * B(alpha, tau + 1) *
+    I_{1/2}(alpha, tau + 1), with I the regularized incomplete beta.
+    """
+    b = tau + 1.0
+    return (alpha * 2.0**alpha * math.exp(special.betaln(alpha, b))
+            * special.betainc(alpha, b, 0.5))
+
+
+def no_fire_probability(m: int, tau: int) -> float:
+    """E[(1 - p)**(m * tau)] = 1 / (m * tau + 1): no coin fires, p uniform on [0, 1]."""
+    return 1.0 / (m * tau + 1.0)
 
 
 def svt_recipe(epsilon, delta, k, m, beta, sensitivity=1.0, pure_dp=False):

@@ -359,6 +359,16 @@ def test_recurrence_keeps_the_zero_mass_conventions(pairs):
         assert transcript_max_log_ratio(adv, 1, cap) == fold_reference(adv, 1, cap, None)
 
 
+def test_overflowing_power_reads_inf_at_every_k():
+    # (1e-12, 1e-300) keeps the promise within its 1e-12 tolerance, and its
+    # ratio 1e288 squared is past the largest double: every k reads +inf,
+    # while the max divergence stays finite.
+    adv = adversary([(1e-12, 1e-300), (0.5, 0.45)], 0.2)
+    for k in (1, 2, 3):
+        assert transcript_renyi(adv, k, 3.0, 2) == math.inf
+        assert math.isfinite(transcript_max_log_ratio(adv, k, 2))
+
+
 def test_long_schedule_multi_success_bounds():
     # far past what enumeration reaches: the paper's k-success bounds
     # D_alpha <= 3 k alpha eps^2 and D_inf <= k eps

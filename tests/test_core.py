@@ -193,6 +193,69 @@ def test_ledger_pins_first_epsilon():
         ledger.register(-0.1)
 
 
+def test_ledger_fast_path_admits_only_the_pinned_epsilon():
+    # a refused first declaration leaves the ledger unpinned, so the next
+    # one is still range-checked rather than compared against None; None
+    # is refused, whichever of the two errors the range check raises
+    ledger = AccountantLedger()
+    refused = (TypeError, ParameterError)
+    for bad, error in ((math.nan, ParameterError), (-0.1, ParameterError), (None, refused)):
+        with pytest.raises(error):
+            ledger.register(bad)
+        assert ledger.base_epsilon is None
+    ledger.register(0.2)
+    ledger.register(0.2)
+    assert ledger.base_epsilon == 0.2
+    for bad, error in ((0.3, LedgerError), (math.nan, ParameterError), (-0.2, ParameterError)):
+        with pytest.raises(error):
+            ledger.register(bad)
+    assert ledger.base_epsilon == 0.2
+
+
+def analytic_hypothesis(rate, epsilon=0.1):
+    return Hypothesis(run=lambda d, s: BOT, epsilon=epsilon, top_probability=lambda d: rate)
+
+
+def test_certain_all_bot_batch_draws_nothing():
+    # (1 - 1e-20)**1000 rounds to exactly 1.0: the batch passes without a draw
+    for rate in (0.0, 1e-20):
+        state = forced_state(p=1.0, seed=3)
+        before = state.stream.generator.bit_generator.state
+        assert state.test_batch(analytic_hypothesis(rate), 1000) is True
+        assert state.stream.generator.bit_generator.state == before
+        assert state.ledger.top_responses == 0
+        assert state.ledger.base_epsilon == 0.1
+
+
+def test_uncertain_batch_draws_exactly_one_uniform():
+    for rate in (1e-6, 0.3, 1.0):
+        state = forced_state(p=1.0, seed=4)
+        twin = np.random.Generator(np.random.PCG64())
+        twin.bit_generator.state = state.stream.generator.bit_generator.state
+        uniform = twin.random()
+        all_bot = math.exp(10 * math.log1p(-rate)) if rate < 1 else 0.0
+        passed = state.test_batch(analytic_hypothesis(rate), 10)
+        assert state.stream.generator.bit_generator.state == twin.bit_generator.state
+        assert passed is (uniform < all_bot)
+        assert state.ledger.top_responses == (0 if passed else 1)
+
+
+def test_analytic_pass_rate_matches_the_all_bot_law():
+    # one stream, with a certain batch (no draw) before each uncertain one,
+    # whose all-BOT chance is about 0.61
+    state = forced_state(p=0.5, seed=5)
+    rate, count, batches = 0.02, 50, 20_000
+    certain, uncertain = analytic_hypothesis(0.0), analytic_hypothesis(rate)
+    passed = 0
+    for _ in range(batches):
+        assert state.test_batch(certain, count)
+        passed += state.test_batch(uncertain, count)
+    expected = math.exp(count * math.log1p(-0.5 * rate))
+    sigma = math.sqrt(expected * (1 - expected) / batches)
+    assert abs(passed / batches - expected) < 5 * sigma
+    assert state.ledger.top_responses == batches - passed
+
+
 def test_test_batch_matches_sequential_semantics():
     # without a declared TOP probability the batch is literally a loop
     state = forced_state(p=1.0)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 import oracles
 from conftest import forced_state, make_dataset
@@ -447,6 +447,69 @@ def test_choosing_failure_rate_within_beta():
         failures += picked != 1
     sigma = math.sqrt(beta * (1 - beta) / trials)
     assert failures / trials <= beta + 3 * sigma
+
+
+CONFIDENCE_BETAS = (0.5, 0.25, 0.1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9)
+
+
+def test_median_boost_failure_oracle_matches_quadrature():
+    for alpha, tau in ((1.0, 10), (1.5, 50), (3.0, 7), (2.0, 300)):
+        want = integrate.quad(
+            lambda p: alpha * p ** (alpha - 1) * (1 - p / 2) ** tau, 0, 1, epsabs=0, epsrel=1e-13
+        )[0]
+        assert oracles.median_boost_failure(alpha, tau) == pytest.approx(want, rel=1e-10)
+    # at alpha = 1 the expectation is 2 / (tau + 1) * (1 - 2**-(tau + 1))
+    assert oracles.median_boost_failure(1.0, 10) == pytest.approx(2 / 11 * (1 - 2.0**-11), rel=1e-14)
+
+
+def test_median_boost_budget_meets_beta_exactly():
+    # the exact companion of criterion 06, down to beta = 1e-9; at alpha = 1
+    # failure / beta reaches 0.9999999995, so a looser budget fails here
+    worst = 0.0
+    for alpha in (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0):
+        for beta in CONFIDENCE_BETAS:
+            failure = oracles.median_boost_failure(alpha, BtmConfig(alpha, beta).budget)
+            assert failure <= beta, (alpha, beta, failure)
+            worst = max(worst, failure / beta)
+    assert worst > 0.999
+
+
+def selection_shape(select, m):
+    """(tau, mechanism count) that one call of ``select`` hands to selection.
+
+    The gate never fires, so the call returns None without reading a score.
+    """
+    state = forced_state(p=0.0, records=np.zeros(m))
+    shapes = []
+    selection = state.selection
+
+    def spy(tau, mechanisms):
+        shapes.append((tau, len(mechanisms)))
+        return selection(tau, mechanisms)
+
+    state.selection = spy
+    assert select(ScoreFamily.from_table(m, k_bound=1), state) is None
+    [shape] = shapes
+    return shape
+
+
+def test_no_fire_chance_within_a_quarter_of_beta():
+    # choosing's ceil(4/beta) runs of m >= 1 indices and stable selection's
+    # ceil(2/beta) runs of m >= 2 indices both miss every coin with chance
+    # 1 / (m tau + 1) <= beta / 4 under the uniform gate
+    for beta in CONFIDENCE_BETAS:
+        for m in (1, 2, 5):
+            tau, count = selection_shape(
+                lambda family, state: choosing_mechanism(family, 0.5, 1e-3, beta, state), m
+            )
+            assert count == m
+            assert oracles.no_fire_probability(m, tau) <= beta / 4, (beta, m, tau)
+        for m in (2, 5):
+            tau, count = selection_shape(
+                lambda family, state: stable_select(family, 1, 0.6, 1e-3, beta, state), m
+            )
+            assert count == m
+            assert oracles.no_fire_probability(m, tau) <= beta / 4, (beta, m, tau)
 
 
 def test_choosing_accounts_three_epsilon():
