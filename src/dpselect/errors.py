@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit, and the parameter contract.
 
 Every numeric range check calls ``check_above``, ``check_unit_interval`` or
-``check_count``, which decide and word each rule once.  NaN fails every
-check, and a count is an ``int``, never a ``bool`` or a float such as 10.0.
+``check_count``, which decide and word each rule once.  NaN and a non-number
+such as ``None`` or ``"1"`` fail every check with ``ParameterError``, and a
+count is an ``int``, never a ``bool`` or a float such as 10.0.
 """
 
 _GAMMA_MATCH_TOL = 1e-12
@@ -30,8 +31,11 @@ class HaltedError(RuntimeError):
 
 def check_above(name: str, value: float, floor: float = 0.0, *, inclusive: bool = False) -> None:
     """Refuse ``value`` unless it exceeds ``floor`` (or equals it, when inclusive)."""
-    if value >= floor if inclusive else value > floor:
-        return
+    try:
+        if value >= floor if inclusive else value > floor:
+            return
+    except TypeError:  # not a number: refused below like any other bad value
+        pass
     if floor == 0:
         rule = "be nonnegative" if inclusive else "be positive"
     else:
@@ -41,8 +45,12 @@ def check_above(name: str, value: float, floor: float = 0.0, *, inclusive: bool 
 
 def check_unit_interval(name: str, value: float) -> None:
     """Refuse ``value`` unless it lies in the open interval (0, 1)."""
-    if not 0 < value < 1:
-        raise ParameterError(f"{name} must lie in (0, 1), got {value}")
+    try:
+        if 0 < value < 1:
+            return
+    except TypeError:  # not a number
+        pass
+    raise ParameterError(f"{name} must lie in (0, 1), got {value}")
 
 
 def check_count(name: str, value: int, least: int = 1, most: int | None = None) -> None:

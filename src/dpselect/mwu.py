@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -34,6 +35,19 @@ from .svt import RepetitiveSvt, SvtConfig, SvtQuery, svt_params
 _FIXED_POINT_CONSTANT = 40.0
 _REDRAW_LIMIT = 3
 _BLOCK_ENTRIES = 2**13
+_SCORED_ENTRIES = 2**16
+
+
+def _checked_query_values(values, ndim: int) -> np.ndarray:
+    """``values`` as a nonempty float array of ``ndim`` dimensions in [0, 1]."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != ndim or values.size == 0:
+        shape = "vector" if ndim == 1 else "table"
+        raise ParameterError(f"query values must form a nonempty {shape}")
+    # NaN fails both comparisons and an infinity fails one.
+    if not (values.min() >= 0 and values.max() <= 1):
+        raise ParameterError("query values must lie in [0, 1]")
+    return values
 
 
 @dataclass(frozen=True)
@@ -43,13 +57,28 @@ class LinearQuery:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ParameterError("query values must form a nonempty vector")
-        # NaN fails both comparisons and an infinity fails one.
-        if not (values.min() >= 0 and values.max() <= 1):
-            raise ParameterError("query values must lie in [0, 1]")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _checked_query_values(self.values, 1))
+
+    @classmethod
+    def rows(cls, table) -> Iterator[LinearQuery]:
+        """Check a 2-D table of query values once; its rows as queries, in order.
+
+        The table is marked read-only, so no checked row is written through it.
+        """
+        table = _checked_query_values(table, 2)
+        table.flags.writeable = False
+        return map(cls._checked_row, table)
+
+    @classmethod
+    def _checked_row(cls, values: np.ndarray) -> LinearQuery:
+        """A row of a checked table, wrapped without checking it again."""
+        query = cls.__new__(cls)
+        object.__setattr__(query, "values", values)
+        return query
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        values = self.values if dtype is None else self.values.astype(dtype, copy=False)
+        return values.copy() if copy else values
 
 
 def as_query_values(query, universe_size: int) -> np.ndarray:
@@ -330,10 +359,12 @@ class FixedPoolAdversary:
     """Issues a pre-built list of queries, ignoring the answers."""
 
     def __init__(self, queries: Sequence):
-        self._queries = list(queries)
+        self._queries = [
+            query if isinstance(query, LinearQuery) else LinearQuery(query) for query in queries
+        ]
         self._cursor = 0
 
-    def next_query(self):
+    def next_query(self) -> LinearQuery:
         query = self._queries[self._cursor % len(self._queries)]
         self._cursor += 1
         return query
@@ -342,17 +373,18 @@ class FixedPoolAdversary:
         pass
 
 
-def _half_subsets(generator: np.random.Generator, size: int) -> Iterator[np.ndarray]:
-    """Endless indicators of independent uniformly random size // 2 subsets.
+def _half_subsets(generator: np.random.Generator, size: int) -> Iterator[LinearQuery]:
+    """Endless indicator queries of independent uniformly random size // 2 subsets.
 
     Rows are shuffled a block at a time, each row on its own, so every row
     is a uniform half-subset independent of the others.  A block holds at
-    most _BLOCK_ENTRIES entries, or one row when a row is longer.
+    most _BLOCK_ENTRIES entries, or one row when a row is longer, and is
+    range-checked once.
     """
     block = np.zeros((max(1, _BLOCK_ENTRIES // size), size))
     block[:, : size // 2] = 1.0
     while True:
-        yield from generator.permuted(block, axis=1)
+        yield from LinearQuery.rows(generator.permuted(block, axis=1))
 
 
 class RandomSubsetAdversary:
@@ -363,7 +395,7 @@ class RandomSubsetAdversary:
         self.universe_size = universe_size
         self._subsets = _half_subsets(stream.generator, universe_size)
 
-    def next_query(self) -> np.ndarray:
+    def next_query(self) -> LinearQuery:
         return next(self._subsets)
 
     def observe(self, answer: float) -> None:
@@ -387,25 +419,26 @@ class OverfittingAdversary:
         self.probes = probes
         self._subsets = _half_subsets(stream.generator, universe_size)
         self._scores = np.zeros(universe_size)
-        self._pending: np.ndarray | None = None
+        self._pending: LinearQuery | None = None
         self._issued = 0
-        self._final: np.ndarray | None = None
+        self._final: LinearQuery | None = None
 
-    def next_query(self) -> np.ndarray:
+    def next_query(self) -> LinearQuery:
         if self._issued < self.probes:
             self._pending = next(self._subsets)
             self._issued += 1
             return self._pending
         if self._final is None:
-            self._final = (self._scores > 0).astype(float)
-            if not self._final.any():
-                self._final[int(np.argmax(self._scores))] = 1.0
+            final = (self._scores > 0).astype(float)
+            if not final.any():
+                final[int(np.argmax(self._scores))] = 1.0
+            self._final = LinearQuery(final)
         return self._final
 
     def observe(self, answer: float) -> None:
         if self._pending is not None:
             sign = 1.0 if answer > 0.5 else -1.0
-            self._scores += sign * (self._pending - 0.5)
+            self._scores += sign * (self._pending.values - 0.5)
             self._pending = None
 
 
@@ -424,6 +457,26 @@ class HarnessReport:
         return float(np.mean(self.empirical_errors > alpha))
 
 
+def _score_block(
+    truths: np.ndarray, issued: np.ndarray, answers: np.ndarray, rows: list | None,
+    trial: int, first: int,
+) -> np.ndarray:
+    """The worst (population, empirical) errors of a block of answered queries.
+
+    One product gives both truths of every query in the block; a NaN answer
+    makes both worst errors NaN.  With ``rows``, one (trial, index, answer,
+    empirical truth, population truth) row per query is appended.
+    """
+    population, empirical = both = truths @ issued.T
+    worst = np.abs(answers - both).max(axis=1, initial=0.0)
+    if rows is not None:
+        rows.extend(zip(
+            repeat(trial), range(first, first + answers.size),
+            answers.tolist(), empirical.tolist(), population.tolist(),
+        ))
+    return worst
+
+
 def adaptive_harness(
     probabilities: np.ndarray,
     n: int,
@@ -440,9 +493,12 @@ def adaptive_harness(
     issue m adaptive queries, and record the worst empirical and population
     error of the answers.  The records are drawn as one multinomial count
     vector, the law of the multiset of n iid draws, and laid out sorted.
-    Each query is validated once, as a LinearQuery, and handed to the
-    answerer in that form.  A NaN answer counts as an unbounded error.  A
-    halted answerer ends its trial early with the errors collected so far.
+    Each query is validated once, as a LinearQuery, handed to the answerer
+    in that form, and copied as issued into a buffer; one product scores a
+    trial's answers at its end (or one per _SCORED_ENTRIES entries of
+    queries, when m * |X| is larger).  A NaN answer counts as an unbounded
+    error.  A halted answerer ends its trial early with the errors of the
+    queries answered so far.
     """
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.ndim != 1 or not abs(probabilities.sum() - 1.0) <= 1e-9:
@@ -455,11 +511,15 @@ def adaptive_harness(
     universe_size = probabilities.size
     # multinomial refuses a vector whose sum exceeds 1 by more than 1e-12.
     draw_probabilities = probabilities / probabilities.sum()
+    capacity = min(m, max(1, _SCORED_ENTRIES // universe_size))
+    issued = np.empty((capacity, universe_size))
+    answers = np.empty(capacity)
     population_errors = np.zeros(trials)
     empirical_errors = np.zeros(trials)
     update_rounds = np.zeros(trials, dtype=int)
     halted = np.zeros(trials, dtype=bool)
     rows: list = []
+    kept = rows if keep_rows else None
     for trial in range(trials):
         trial_stream = stream.split(trial)
         counts = trial_stream.split(0).generator.multinomial(n, draw_probabilities)
@@ -467,27 +527,29 @@ def adaptive_harness(
         dataset = Dataset(np.repeat(np.arange(universe_size), counts))
         answerer = answerer_factory(dataset, trial_stream.split(1))
         adversary = adversary_factory(universe_size, trial_stream.split(2))
-        worst_population = 0.0
-        worst_empirical = 0.0
+        worst = np.zeros(2)  # population, empirical
+        first = count = 0  # the buffer holds answered queries first .. first + count - 1
         for index in range(m):
+            if count == capacity:
+                worst = np.maximum(worst, _score_block(truths, issued, answers, kept, trial, first))
+                first, count = index, 0
             query = adversary.next_query()
             if not isinstance(query, LinearQuery):
                 query = LinearQuery(query)
-            values = as_query_values(query, universe_size)
+            # The copy also keeps the query as issued if its array is reused.
+            issued[count] = as_query_values(query, universe_size)
             try:
                 answer = answerer.answer(query)
             except HaltedError:
                 halted[trial] = True
                 break
             adversary.observe(answer)
-            population_truth, empirical_truth = (truths @ values).tolist()
-            if answer != answer:  # NaN: an unbounded error, which max would skip
-                worst_population = worst_empirical = math.inf
-            worst_population = max(worst_population, abs(answer - population_truth))
-            worst_empirical = max(worst_empirical, abs(answer - empirical_truth))
-            if keep_rows:
-                rows.append((trial, index, answer, empirical_truth, population_truth))
-        population_errors[trial] = worst_population
-        empirical_errors[trial] = worst_empirical
+            answers[count] = answer
+            count += 1
+        worst = np.maximum(
+            worst, _score_block(truths, issued[:count], answers[:count], kept, trial, first)
+        )
+        worst[np.isnan(worst)] = math.inf
+        population_errors[trial], empirical_errors[trial] = worst
         update_rounds[trial] = getattr(answerer, "update_rounds", 0)
     return HarnessReport(population_errors, empirical_errors, update_rounds, halted, rows)

@@ -251,6 +251,45 @@ def chernoff_uniform_bound(n: int, m: int, beta: float) -> float:
     return math.sqrt(math.log(2.0 * m / beta) / (2.0 * n))
 
 
+def harness_scores_loop(probabilities, trials):
+    """Worst errors and per-query rows of an adaptive harness, query by query.
+
+    ``trials`` holds, per trial, its records, the queries it answered (as
+    issued) and their answers.  Each truth is an fsum over the universe of
+    probability (or record frequency) times query value, and a NaN answer is
+    an unbounded error.  Returns the (population, empirical) worst errors per
+    trial and a (trial, index, answer, empirical, population) row per query.
+    """
+    worst, rows = [], []
+    for trial, (records, queries, answers) in enumerate(trials):
+        counts = [0] * len(probabilities)
+        for record in records:
+            counts[int(record)] += 1
+        frequencies = [count / len(records) for count in counts]
+        population_error = empirical_error = 0.0
+        for index, (query, answer) in enumerate(zip(queries, answers)):
+            population = math.fsum(p * float(v) for p, v in zip(probabilities, query))
+            empirical = math.fsum(f * float(v) for f, v in zip(frequencies, query))
+            if math.isnan(answer):
+                population_error = empirical_error = math.inf
+            else:
+                population_error = max(population_error, abs(answer - population))
+                empirical_error = max(empirical_error, abs(answer - empirical))
+            rows.append((trial, index, answer, empirical, population))
+        worst.append((population_error, empirical_error))
+    return worst, rows
+
+
+def half_subsets_loop(generator, size: int, block_rows: int):
+    """Half-subset indicator rows as plain arrays: each block of ``block_rows``
+    rows is the template (ones in the first size // 2 columns) permuted row by
+    row, the draw the random adversaries make."""
+    template = np.zeros((block_rows, size))
+    template[:, : size // 2] = 1.0
+    while True:
+        yield from generator.permuted(template, axis=1)
+
+
 # Frozen constants derived from the formulas above (values double-checked by
 # running this module's functions; tests assert both the frozen number and
 # live agreement so a drifting oracle is caught too).

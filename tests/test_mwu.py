@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -185,11 +186,17 @@ def test_answerers_refuse_records_that_are_not_universe_indices(records):
 
 
 def test_query_value_validation():
-    for bad in ([0.5, 1.2], [-0.1, 0.5], [0.5, np.nan], [0.2, np.inf], [-np.inf, 0.3]):
-        with pytest.raises(ParameterError):
+    for bad in ([0.5, 1.2], [2.0, 0.5], [-0.1, 0.5], [0.5, np.nan], [0.2, np.inf], [-np.inf, 0.3]):
+        with pytest.raises(ParameterError) as single:
             LinearQuery(np.array(bad))
+        # A table holding the row is refused in the same words.
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(single.value))}$"):
+            LinearQuery.rows(np.array([[0.0, 1.0], bad]))
     with pytest.raises(ParameterError):
         LinearQuery(np.zeros((2, 2)))
+    for shape in [(4,), (0, 4), (2, 0), (1, 2, 2)]:
+        with pytest.raises(ParameterError, match="nonempty table"):
+            LinearQuery.rows(np.zeros(shape))
     with pytest.raises(ParameterError):
         as_query_values(np.zeros(3), 4)
     assert as_query_values(LinearQuery(np.zeros(4)), 4).size == 4
@@ -364,11 +371,16 @@ def test_empirical_answerer_reports_sample_means():
 
 
 def test_fixed_pool_cycles_and_ignores_answers():
-    pool = FixedPoolAdversary([np.zeros(4), np.ones(4)])
+    checked = LinearQuery(np.ones(4))
+    pool = FixedPoolAdversary([np.zeros(4), checked])
     first = pool.next_query()
+    assert isinstance(first, LinearQuery)
     pool.observe(0.5)
-    assert pool.next_query() is not first
+    assert pool.next_query() is checked
     assert pool.next_query() is first
+    # The pool is checked once, when it is built.
+    with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+        FixedPoolAdversary([np.zeros(4), np.full(4, 1.5)])
 
 
 def test_half_subsets_are_uniform_and_independent_across_blocks():
@@ -395,22 +407,49 @@ def test_half_subset_block_is_one_row_at_a_large_universe():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert query.sum() == size // 2
+    assert query.values.sum() == size // 2
     # The kept template and the shuffled block, one row of 8 MiB each.
     assert peak < 3 * 8 * size
 
 
 def test_random_adversaries_draw_from_one_helper():
-    size = 2**12  # two rows per block, so five queries cross blocks
-    for seed in range(3):
-        expected = mwu._half_subsets(RandomStream(seed).generator, size)
-        overfitting = OverfittingAdversary(size, RandomStream(seed), probes=5)
-        subsets = RandomSubsetAdversary(size, RandomStream(seed))
-        for _ in range(5):
-            row = next(expected)
-            assert np.array_equal(overfitting.next_query(), row)
-            overfitting.observe(0.7)
-            assert np.array_equal(subsets.next_query(), row)
+    # 64 is the benchmark's universe; at 2**12 a block holds two rows.
+    for size in (64, 2**12):
+        block_rows = max(1, mwu._BLOCK_ENTRIES // size)
+        for seed in range(3):
+            expected = oracles.half_subsets_loop(RandomStream(seed).generator, size, block_rows)
+            overfitting = OverfittingAdversary(size, RandomStream(seed), probes=block_rows + 3)
+            subsets = RandomSubsetAdversary(size, RandomStream(seed))
+            issued = []
+            for _ in range(block_rows + 3):  # across a block boundary
+                row = next(expected)
+                for query in (overfitting.next_query(), subsets.next_query()):
+                    assert isinstance(query, LinearQuery)
+                    assert not query.values.flags.writeable
+                    assert np.array_equal(query.values, row)
+                overfitting.observe(0.7)
+                issued.append(query)
+            # The benchmark's own read of the issued queries: one stacked table.
+            stacked = np.asarray(issued, dtype=float)
+            assert stacked.shape == (len(issued), size)
+            assert all(np.array_equal(line, q.values) for line, q in zip(stacked, issued))
+            final = overfitting.next_query()
+            assert isinstance(final, LinearQuery)
+            assert np.array_equal(final.values, (overfitting._scores > 0).astype(float))
+            assert overfitting.next_query() is final
+
+
+def test_query_table_rows_are_read_only_views_in_order():
+    table = np.array([[0.0, 1.0], [0.25, 0.5], [1.0, 1.0]])
+    queries = list(LinearQuery.rows(table))
+    assert not table.flags.writeable
+    assert [query.values.tolist() for query in queries] == table.tolist()
+    assert all(np.shares_memory(query.values, table) for query in queries)
+    with pytest.raises(ValueError):
+        queries[0].values[0] = 0.5
+    assert np.asarray(queries[1]) is queries[1].values
+    copied = np.array(queries[1], dtype=np.float32)
+    assert copied.dtype == np.float32 and copied.tolist() == [0.25, 0.5]
 
 
 def empirical_harness(probabilities, n=10, m=5, trials=1):
@@ -469,6 +508,107 @@ def test_harness_draws_within_the_sum_tolerance():
 class _ConstantAnswerer:
     def answer(self, query) -> float:
         return 0.5
+
+
+class _HaltingAnswerer:
+    """Answers 0.25 to its first ``limit`` queries, then halts."""
+
+    def __init__(self, limit):
+        self._left = limit
+
+    def answer(self, query) -> float:
+        if self._left == 0:
+            raise HaltedError("halted")
+        self._left -= 1
+        return 0.25
+
+
+class _RewritingAdversary:
+    """Issues one array, rewritten in place with fresh values for each query."""
+
+    def __init__(self, size, stream):
+        self._generator = stream.generator
+        self._values = np.empty(size)
+
+    def next_query(self):
+        self._values[:] = self._generator.random(self._values.size)
+        return self._values
+
+    def observe(self, answer: float) -> None:
+        pass
+
+
+def _zipf(universe):
+    weights = 1.0 / np.arange(1, universe + 1)
+    return weights / weights.sum()
+
+
+def _session_factory(universe, n, m):
+    config = make_mwu_config(universe, n, m, 1.0, 1e-6, 0.05, alpha_override=0.3)
+    return lambda ds, s: MwuSession(config, ds, s)
+
+
+HARNESS_UNIVERSE, HARNESS_N, HARNESS_M, HARNESS_TRIALS = 8, 2000, 12, 3
+HARNESS_CASES = {
+    "constant": (RandomSubsetAdversary, lambda ds, s: _ConstantAnswerer()),
+    "session": (RandomSubsetAdversary, _session_factory(HARNESS_UNIVERSE, HARNESS_N, HARNESS_M)),
+    "nan": (RandomSubsetAdversary,
+            lambda ds, s: _ScriptedAnswerer([0.3, math.nan] + [0.6] * (HARNESS_M - 2))),
+    "halt": (RandomSubsetAdversary, lambda ds, s: _HaltingAnswerer(7)),
+    "rewrite": (_RewritingAdversary, lambda ds, s: _ConstantAnswerer()),
+}
+
+
+@pytest.mark.parametrize("block_queries", [None, 3])
+@pytest.mark.parametrize("case", sorted(HARNESS_CASES))
+def test_harness_scores_each_answer_as_a_query_loop_does(case, block_queries, monkeypatch):
+    if block_queries is not None:  # several scored blocks per trial
+        monkeypatch.setattr(mwu, "_SCORED_ENTRIES", block_queries * HARNESS_UNIVERSE)
+    adversary_factory, answerer_factory = HARNESS_CASES[case]
+    seen = []  # per trial: records, queries as issued, answers
+
+    class Recorder:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def next_query(self):
+            query = self.inner.next_query()
+            seen[-1][1].append(np.array(query, dtype=float))
+            return query
+
+        def observe(self, answer):
+            seen[-1][2].append(answer)
+            self.inner.observe(answer)
+
+    def answerer(dataset, stream):
+        seen.append((np.asarray(dataset.records), [], []))
+        return answerer_factory(dataset, stream)
+
+    probabilities = _zipf(HARNESS_UNIVERSE)
+    report = adaptive_harness(
+        probabilities, HARNESS_N, HARNESS_M, lambda u, s: Recorder(adversary_factory(u, s)),
+        answerer, HARNESS_TRIALS, RandomStream(9160), keep_rows=True,
+    )
+    worst, rows = oracles.harness_scores_loop(probabilities.tolist(), seen)
+    for trial, (population, empirical) in enumerate(worst):
+        assert math.isclose(report.population_errors[trial], population, rel_tol=1e-12)
+        assert math.isclose(report.empirical_errors[trial], empirical, rel_tol=1e-12)
+    assert len(report.rows) == len(rows)
+    for got, want in zip(report.rows, rows):
+        assert got[:2] == want[:2]
+        assert got[2] == want[2] or (math.isnan(got[2]) and math.isnan(want[2]))
+        assert math.isclose(got[3], want[3], rel_tol=1e-12)
+        assert math.isclose(got[4], want[4], rel_tol=1e-12)
+    answered = 7 if case == "halt" else HARNESS_M
+    assert len(rows) == HARNESS_TRIALS * answered
+    assert report.halted.tolist() == [case == "halt"] * HARNESS_TRIALS
+    if case == "nan":
+        assert report.empirical_errors.tolist() == [math.inf] * HARNESS_TRIALS
+        assert report.population_errors.tolist() == [math.inf] * HARNESS_TRIALS
+    if case == "rewrite":  # every query was a fresh draw into the same array
+        assert len({query.tobytes() for _, queries, _ in seen for query in queries}) == len(rows)
+    if case == "session":
+        assert report.update_rounds.max() >= 1
 
 
 def test_harness_records_have_the_sampling_law():

@@ -65,6 +65,8 @@ POSITIVE = (NAN, 0, -1)
 NONNEGATIVE = (NAN, -1)
 UNIT = (NAN, 0, 1, -1)
 COUNT = (NAN, 0, -1, 2.5, True)
+# A non-number meets the same rule as a bad number, never a TypeError.
+NOT_A_NUMBER = (None, "1")
 COUNT_FROM_2 = COUNT + (1,)
 # A float or a bool key would alias another stream: 2.7 and 2 both gave path (2,).
 STREAM_KEY = (NAN, -1, 2.7, 10.0, True)
@@ -124,15 +126,15 @@ CASES = [
      lambda v: RandomStream(4).split(2).split(*v)),
     ("TruncatedLaplaceParams", "epsilon", POSITIVE, lambda v: TruncatedLaplaceParams(v, 0.1)),
     ("TruncatedLaplaceParams", "delta", UNIT, lambda v: TruncatedLaplaceParams(1.0, v)),
-    ("sample_laplace", "scale", POSITIVE, lambda v: sample_laplace(RandomStream(0), v)),
+    ("sample_laplace", "scale", POSITIVE + NOT_A_NUMBER, lambda v: sample_laplace(RandomStream(0), v)),
     ("sample_pass_probability", "gamma", POSITIVE,
      lambda v: sample_pass_probability(RandomStream(0), v)),
     ("exponential_mechanism", "epsilon", POSITIVE,
      lambda v: exponential_mechanism(RandomStream(0), [0.0, 1.0], v)),
     ("exponential_mechanism", "sensitivity", POSITIVE,
      lambda v: exponential_mechanism(RandomStream(0), [0.0, 1.0], 1.0, v)),
-    ("init", "gamma", POSITIVE, lambda v: core.init(v, make_dataset(), RandomStream(0))),
-    ("AccountantLedger.register", "epsilon", NONNEGATIVE,
+    ("init", "gamma", POSITIVE + NOT_A_NUMBER, lambda v: core.init(v, make_dataset(), RandomStream(0))),
+    ("AccountantLedger.register", "epsilon", NONNEGATIVE + NOT_A_NUMBER,
      lambda v: AccountantLedger().register(v)),
     ("approx_dp_cost", "delta_target", UNIT,
      lambda v: core.approx_dp_cost(AccountantLedger(), 1.0, v)),
@@ -162,7 +164,7 @@ CASES = [
     ("svt_params", "k", COUNT, lambda v: _svt(k=v)),
     ("svt_params", "m", COUNT_FROM_2, lambda v: _svt(m=v)),
     ("svt_params", "sensitivity", POSITIVE, lambda v: svt_params(1.0, 1e-6, 4, 64, 0.01, v)),
-    ("svt_params", "delta", UNIT, lambda v: _svt(delta=v)),
+    ("svt_params", "delta", UNIT + NOT_A_NUMBER, lambda v: _svt(delta=v)),
     ("above_hypothesis", "epsilon_prime", POSITIVE,
      lambda v: above_hypothesis(lambda ds: 0.0, 0.0, v, 1.0)),
     ("below_hypothesis", "d", NONNEGATIVE,
@@ -173,7 +175,7 @@ CASES = [
     ("ScoreFamily", "sensitivity", POSITIVE,
      lambda v: ScoreFamily.from_table(4, sensitivity=v)),
     ("ScoreFamily", "k_bound", COUNT, lambda v: ScoreFamily.from_table(4, k_bound=v)),
-    ("topk_select", "k", COUNT + (4,), lambda v: _topk(k=v)),
+    ("topk_select", "k", COUNT + (4,) + NOT_A_NUMBER, lambda v: _topk(k=v)),
     ("topk_select", "epsilon", UNIT, lambda v: _topk(epsilon=v)),
     ("topk_select", "delta", UNIT, lambda v: _topk(delta=v)),
     ("topk_select", "beta", UNIT, lambda v: _topk(beta=v)),
@@ -197,7 +199,7 @@ CASES = [
     ("solve_alpha", "m", COUNT_FROM_2, lambda v: solve_alpha(64, 5000, v, 1.0, 1e-6, 0.01)),
     ("solve_alpha", "epsilon", POSITIVE, lambda v: solve_alpha(64, 5000, 500, v, 1e-6, 0.01)),
     ("solve_alpha", "delta", UNIT, lambda v: solve_alpha(64, 5000, 500, 1.0, v, 0.01)),
-    ("solve_alpha", "beta", UNIT, lambda v: solve_alpha(64, 5000, 500, 1.0, 1e-6, v)),
+    ("solve_alpha", "beta", UNIT + NOT_A_NUMBER, lambda v: solve_alpha(64, 5000, 500, 1.0, 1e-6, v)),
     ("sample_size_for_accuracy", "alpha", UNIT,
      lambda v: sample_size_for_accuracy(v, 64, 500, 1.0, 1e-6, 0.01)),
     ("make_mwu_config", "universe size", COUNT_FROM_2,
