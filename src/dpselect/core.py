@@ -184,6 +184,11 @@ def approx_dp_cost(
     return PrivacyCost(total, delta_target + ledger.delta_mass)
 
 
+#: A pure-DP analytic batch whose total gate rate count * rho is at most
+#: this mass passes with certainty and draws nothing; see ``test_batch``.
+_CERTAIN_PASS_MASS = 2.0**-62
+
+
 @dataclass
 class FrameworkState:
     """One sampled gate probability plus everything charged against it.
@@ -258,6 +263,13 @@ class FrameworkState:
         the draw could only answer "pass", so skipping it keeps the law and
         leaves the stream where it was.  Otherwise the loop runs call by
         call.
+
+        The all-BOT probability is exactly 1.0 whenever
+        count * rho <= _CERTAIN_PASS_MASS (2**-62): exp(-count*rho) first
+        rounds below 1.0 near 2**-54, 256 times further out, which leaves
+        room for the rounding of rho and of log1p.  Callers that know this
+        holds may settle the batch themselves, provided they also register
+        the hypothesis's epsilon.
         """
         check_count("count", count)
         if hypothesis.top_probability is None:

@@ -29,6 +29,11 @@ class HaltedError(RuntimeError):
     """A budgeted session has stopped and can take no further queries."""
 
 
+def _shown(value) -> object:
+    """A refused value as a message shows it: a string quoted, so "1" never reads as 1."""
+    return repr(value) if isinstance(value, str) else value
+
+
 def check_above(name: str, value: float, floor: float = 0.0, *, inclusive: bool = False) -> None:
     """Refuse ``value`` unless it exceeds ``floor`` (or equals it, when inclusive)."""
     try:
@@ -40,7 +45,7 @@ def check_above(name: str, value: float, floor: float = 0.0, *, inclusive: bool 
         rule = "be nonnegative" if inclusive else "be positive"
     else:
         rule = f"be at least {floor:g}" if inclusive else f"exceed {floor:g}"
-    raise ParameterError(f"{name} must {rule}, got {value}")
+    raise ParameterError(f"{name} must {rule}, got {_shown(value)}")
 
 
 def check_unit_interval(name: str, value: float) -> None:
@@ -50,7 +55,7 @@ def check_unit_interval(name: str, value: float) -> None:
             return
     except TypeError:  # not a number
         pass
-    raise ParameterError(f"{name} must lie in (0, 1), got {value}")
+    raise ParameterError(f"{name} must lie in (0, 1), got {_shown(value)}")
 
 
 def check_count(name: str, value: int, least: int = 1, most: int | None = None) -> None:
@@ -70,7 +75,7 @@ def check_count(name: str, value: int, least: int = 1, most: int | None = None) 
         rule = "a nonnegative integer"
     else:
         rule = f"at least {least} (an integer)"
-    raise ParameterError(f"{name} must be {rule}, got {value}")
+    raise ParameterError(f"{name} must be {rule}, got {_shown(value)}")
 
 
 def check_gamma(state_gamma: float, gamma: float) -> None:

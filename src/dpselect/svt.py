@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .core import BOT, TOP, Dataset, FrameworkState, Hypothesis, Verdict
+from .core import _CERTAIN_PASS_MASS, BOT, TOP, Dataset, FrameworkState, Hypothesis, Verdict
 from .errors import (
     HaltedError,
     ParameterError,
@@ -101,6 +101,20 @@ def _laplace_upper_tail(x: float, scale: float) -> float:
     return 1.0 - 0.5 * math.exp(x / scale)
 
 
+def _settle_bound(p: float, tau: int, scale: float) -> float:
+    """Largest shifted value whose above batch of tau tests is certain to pass.
+
+    At a shifted value v <= 0 each test's gate rate is rho = p*exp(v/scale)/2,
+    so tau*rho <= _CERTAIN_PASS_MASS, and ``test_batch`` would pass without a
+    draw, once v <= scale*ln(2*mass/(p*tau)) (capped at 0).  Outside
+    0 < p <= 1 and at an infinite scale the bound is NaN: nothing settles
+    and ``test_batch`` meets the case as before.
+    """
+    if not (0.0 < p <= 1.0 and scale < math.inf):
+        return math.nan
+    return min(scale * math.log(2.0 * _CERTAIN_PASS_MASS / (p * tau)), 0.0)
+
+
 def above_hypothesis(
     evaluator: Evaluator,
     threshold: float,
@@ -148,20 +162,24 @@ class RepetitiveSvt:
 
     def __init__(self, config: SvtConfig, state: FrameworkState):
         check_gamma(state.gamma, config.gamma)
+        check_count("tau", config.tau)
         self.config = config
         self.state = state
         self.charged = 0
         self.halted = False
         # Both hypotheses test the query in flight shifted to threshold 0,
-        # built once per session.  The closure reads a one-slot holder, not
-        # the session: a closure over the session would make a reference
-        # cycle and leave every finished session to the cyclic collector.
-        # process empties the slot on exit, so no query outlives its call.
-        in_flight: list[SvtQuery | None] = [None]
+        # built once per session.  The closure reads a holder, not the
+        # session: a closure over the session would make a reference cycle
+        # and leave every finished session to the cyclic collector.  The
+        # holder keeps the query and, once read, its shifted value; process
+        # empties it on exit, so no query outlives its call.
+        in_flight: list = [None, None]
 
         def shifted(dataset: Dataset) -> float:
-            query = in_flight[0]
-            return query.evaluator(dataset) - query.threshold
+            query, value = in_flight
+            if value is None:
+                return query.evaluator(dataset) - query.threshold
+            return value
 
         self._in_flight = in_flight
         self._above = above_hypothesis(
@@ -170,16 +188,38 @@ class RepetitiveSvt:
         self._below = below_hypothesis(
             shifted, 0.0, config.d, config.epsilon_prime, config.sensitivity
         )
+        # With a declared TOP probability, process reads each query's value
+        # once and settles an above batch that is certain to pass.
+        self._analytic = self._above.top_probability is not None
+        self._scale = config.sensitivity / config.epsilon_prime
+        self._bound_p = math.nan
+        self._bound = math.nan
 
     def process(self, query: SvtQuery) -> Verdict:
         """Settle one query, or raise HaltedError if the budget ran out.
 
         The raising call itself consumed the final budget unit; the query
         that triggered it is left unanswered, as is everything after it.
+
+        On the analytic route the query's shifted value is read once and
+        serves every batch.  A value at or below ``_settle_bound`` answers
+        BOT at once, with the first above batch's effects: the epsilon
+        registration, that one read, and no draw, charge or TOP.
         """
         if self.halted:
             raise HaltedError("TOP budget exhausted, session halted")
+        value = None
+        if self._analytic:
+            state = self.state
+            state.ledger.register(self.config.epsilon_prime)
+            value = query.evaluator(state.dataset) - query.threshold
+            if state.p != self._bound_p:
+                self._bound_p = state.p
+                self._bound = _settle_bound(state.p, self.config.tau, self._scale)
+            if value <= self._bound:
+                return BOT
         self._in_flight[0] = query
+        self._in_flight[1] = value
         try:
             above = True
             while not self.state.test_batch(
@@ -192,7 +232,7 @@ class RepetitiveSvt:
                 above = not above
             return BOT if above else TOP
         finally:
-            self._in_flight[0] = None
+            self._in_flight[0] = self._in_flight[1] = None
 
 
 def repetitive_svt(

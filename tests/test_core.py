@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import CountingHypothesis, CountingMechanism, forced_state, make_dataset
-from dpselect import core
+from dpselect import core, svt
 from dpselect.core import BOT, EMPTY, TOP, AccountantLedger, Hypothesis, Mechanism
 from dpselect.errors import LedgerError, ParameterError
 from dpselect.noise import RandomStream
@@ -226,6 +226,23 @@ def test_certain_all_bot_batch_draws_nothing():
         assert state.stream.generator.bit_generator.state == before
         assert state.ledger.top_responses == 0
         assert state.ledger.base_epsilon == 0.1
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("p", [1e-9, 0.3, 1.0])
+@pytest.mark.parametrize("tau", [1, 20, 5 * 500**2, 10**12])
+def test_batches_within_the_certain_pass_mass_draw_nothing(tau, p, scale):
+    # The SVT settles every shifted value up to its bound without a batch.
+    # A real batch there, and one ulp past it, passes with no draw or charge.
+    bound = svt._settle_bound(p, tau, scale)
+    assert bound < 0.0
+    for value in (bound, math.nextafter(bound, math.inf)):
+        above = svt.above_hypothesis(lambda ds, v=value: v, 0.0, 1.0, scale)
+        state = forced_state(p=p, seed=6)
+        before = state.stream.generator.bit_generator.state
+        assert state.test_batch(above, tau) is True
+        assert state.stream.generator.bit_generator.state == before
+        assert state.ledger.top_responses == 0
 
 
 def test_uncertain_batch_draws_exactly_one_uniform():

@@ -8,6 +8,7 @@ the shared rules in ``dpselect.errors`` alone.
 """
 
 import ast
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -165,6 +166,8 @@ CASES = [
     ("svt_params", "m", COUNT_FROM_2, lambda v: _svt(m=v)),
     ("svt_params", "sensitivity", POSITIVE, lambda v: svt_params(1.0, 1e-6, 4, 64, 0.01, v)),
     ("svt_params", "delta", UNIT + NOT_A_NUMBER, lambda v: _svt(delta=v)),
+    ("RepetitiveSvt", "tau", COUNT,
+     lambda v: RepetitiveSvt(dataclasses.replace(_svt(), tau=v), forced_state(_svt().gamma))),
     ("above_hypothesis", "epsilon_prime", POSITIVE,
      lambda v: above_hypothesis(lambda ds: 0.0, 0.0, v, 1.0)),
     ("below_hypothesis", "d", NONNEGATIVE,
@@ -314,7 +317,24 @@ def test_only_errors_module_words_the_shared_rules():
         lambda: errors.check_count("x", -1, least=0),
         lambda: errors.check_count("x", 1, least=2),
         lambda: errors.check_count("x", 3, most=2),
+        lambda: errors.check_above("x", "1"),
+        lambda: errors.check_unit_interval("x", "1"),
+        lambda: errors.check_count("x", "1"),
     ]:
         with pytest.raises(ParameterError) as info:
             refuse()
         assert _SHARED_WORDINGS.search(str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize("check,message", [
+    (lambda v: errors.check_above("x", v), "x must be positive, got {}"),
+    (lambda v: errors.check_unit_interval("x", v), "x must lie in (0, 1), got {}"),
+    (lambda v: errors.check_count("x", v), "x must be a positive integer, got {}"),
+])
+def test_a_refused_value_reads_as_what_was_given(check, message):
+    # A string is quoted, so "1" never reads as the number 1; numbers,
+    # numpy scalars included, print plainly.
+    for value, shown in (("1", "'1'"), (np.float64(-1.5), "-1.5"), (None, "None")):
+        with pytest.raises(ParameterError) as info:
+            check(value)
+        assert str(info.value) == message.format(shown)

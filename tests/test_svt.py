@@ -315,6 +315,101 @@ def test_scalar_and_auto_modes_agree_in_law(monkeypatch):
     )
 
 
+def settle_bound(config, p):
+    return svt._settle_bound(p, config.tau, config.sensitivity / config.epsilon_prime)
+
+
+def counting_batches(monkeypatch, state):
+    """Record the count of every test_batch call the state receives."""
+    counts = []
+    real = state.test_batch
+
+    def spy(hypothesis, count):
+        counts.append(count)
+        return real(hypothesis, count)
+
+    monkeypatch.setattr(state, "test_batch", spy)
+    return counts
+
+
+def reading_query(value: float) -> SvtQuery:
+    def evaluator(dataset: Dataset) -> float:
+        dataset.fetch()
+        return value
+
+    return SvtQuery(evaluator=evaluator, threshold=0.0)
+
+
+def test_a_query_certain_to_pass_settles_without_a_batch(monkeypatch):
+    config = svt_params(1.0, 1e-6, 3, 50, 1e-3)
+    session, state = make_session(config, p=0.7, seed=8)
+    batches = counting_batches(monkeypatch, state)
+    before = state.stream.generator.bit_generator.state
+    for value in (settle_bound(config, 0.7), -10.0 * config.d, -math.inf):
+        assert session.process(constant_query(value, 0.0)) is BOT
+    assert batches == []
+    assert state.stream.generator.bit_generator.state == before
+    assert state.ledger == core.AccountantLedger(base_epsilon=config.epsilon_prime)
+    assert session.charged == 0
+
+
+def test_settling_agrees_with_running_every_batch(monkeypatch):
+    # One ulp past the bound the query still takes its batch.  Settling
+    # switched on or off, a stream of queries gives the same verdicts, stream
+    # and ledger; switched on, it runs fewer batches.
+    config = svt_params(1.0, 1e-6, 3, 50, 1e-3)
+    bound = settle_bound(config, 0.7)
+    values = [bound, math.nextafter(bound, math.inf), bound - 1.0, bound / 2.0,
+              -config.d / 2.0, 0.0, 2.0 * config.d, -config.d, bound]
+
+    def run(settle):
+        with monkeypatch.context() as patch:
+            if not settle:
+                patch.setattr(svt, "_settle_bound", lambda *args: math.nan)
+            session, state = make_session(config, p=0.7, seed=9)
+            batches = counting_batches(patch, state)
+            verdicts = [session.process(constant_query(v, 0.0)) for v in values]
+            return (verdicts, session.charged, state.ledger,
+                    state.stream.generator.bit_generator.state), batches
+
+    settled, settled_batches = run(True)
+    plain, plain_batches = run(False)
+    assert settled == plain
+    assert settled[0][:2] == [BOT, BOT] and TOP in settled[0]
+    # values 1 and 3 onward take their batches; 0, 2 and 8 settle
+    assert len(settled_batches) == len(plain_batches) - 3
+
+
+def test_the_settle_bound_follows_a_changed_gate_probability(monkeypatch):
+    config = svt_params(1.0, 1e-6, 3, 50, 1e-3)
+    session, state = make_session(config, p=1.0, seed=10)
+    batches = counting_batches(monkeypatch, state)
+    value = settle_bound(config, 1e-9)  # certain at p = 1e-9, not at p = 1
+    assert value > settle_bound(config, 1.0)
+    query = constant_query(value, 0.0)
+    assert session.process(query) is BOT and len(batches) == 1
+    state.p = 1e-9
+    assert session.process(query) is BOT and len(batches) == 1
+    state.p = 1.0
+    assert session.process(query) is BOT and len(batches) == 2
+    # A p no gate can have settles nothing: test_batch still refuses it.
+    state.p = math.nan
+    with pytest.raises(ParameterError):
+        session.process(query)
+
+
+def test_process_reads_the_value_once_per_query():
+    config = svt_params(1.0, 1e-6, 3, 50, 1e-3)
+    session, state = make_session(config, p=0.9, seed=12)
+    assert session.process(reading_query(settle_bound(config, 0.9) - 1.0)) is BOT
+    assert state.dataset.access_count == 1
+    # Far above, the above batch fails and the below batch settles TOP: the
+    # parent read once per batch (twice), a session now reads once.
+    assert session.process(reading_query(10.0 * config.d)) is TOP
+    assert session.charged == 1
+    assert state.dataset.access_count == 2
+
+
 def test_full_stream_settles_mixed_verdicts():
     config = svt_params(1.0, 1e-6, 4, 16, 0.03)
     values = [-3.0 * config.d, 2.0 * config.d, -2.0 * config.d, 3.0 * config.d]
