@@ -299,6 +299,11 @@ def _classic_svt(values, thresholds, k, epsilon, sensitivity, generator):
     return verdicts
 
 
+def _wrong_svt_verdict(is_top: bool, value: float, threshold: float, d: float) -> bool:
+    """BOT above the threshold, or TOP below threshold - d."""
+    return value < threshold - d if is_top else value > threshold
+
+
 def _run_svt_bench(config: dict, trials: int, stream: RandomStream, pure_dp: bool):
     rows = []
     m, k = config["m"], config["k"]
@@ -341,11 +346,7 @@ def _run_svt_bench(config: dict, trials: int, stream: RandomStream, pure_dp: boo
         for index, verdict in enumerate(repetitive_svt(queries, params, state)):
             answered += 1
             is_top = verdict is not BOT
-            value = values[index]
-            threshold = thresholds[index]
-            if (not is_top and value > threshold) or (
-                is_top and value < threshold - params.d
-            ):
+            if _wrong_svt_verdict(is_top, values[index], thresholds[index], params.d):
                 failures += 1
             tops += is_top
         rows.append((trial, "answered", answered, f"of={count}"))
@@ -361,8 +362,7 @@ def _run_svt_bench(config: dict, trials: int, stream: RandomStream, pure_dp: boo
                 trial_stream.split(2).generator,
             )
             violations = sum(
-                (not is_top and values[i] > thresholds[i])
-                or (is_top and values[i] < thresholds[i] - params.d)
+                _wrong_svt_verdict(is_top, values[i], thresholds[i], params.d)
                 for i, is_top in enumerate(baseline)
             )
             rows.append((trial, "baseline_answered", len(baseline), f"of={count}"))
@@ -447,8 +447,10 @@ _RUNNERS = {
 _MAY_BE_ZERO = {"max_selections", "max_tops"}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    """A number a float holds: not a bool, NaN, an infinity or an int past the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _check_override(command: str, key: str, value) -> None:
@@ -460,13 +462,13 @@ def _check_override(command: str, key: str, value) -> None:
         ok, kind = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
         least = 0 if key in _MAY_BE_ZERO else 1
-        ok = _is_number(value) and isinstance(value, int) and value >= least
+        ok = _is_finite(value) and isinstance(value, int) and value >= least
         kind = f"an integer of at least {least}"
     elif isinstance(default, float):
-        ok, kind = _is_number(value), "a number"
+        ok, kind = _is_finite(value), "a finite number"
     elif isinstance(default, list):
-        ok = isinstance(value, list) and all(_is_number(item) for item in value)
-        kind = "a list of numbers"
+        ok = isinstance(value, list) and all(_is_finite(item) for item in value)
+        kind = "a list of finite numbers"
     else:
         ok, kind = isinstance(value, str), "a string"
     if not ok:

@@ -1,9 +1,10 @@
 """Exception types shared across the toolkit, and the parameter contract.
 
-Every numeric range check calls ``check_above``, ``check_unit_interval`` or
-``check_count``, which decide and word each rule once.  NaN and a non-number
-such as ``None`` or ``"1"`` fail every check with ``ParameterError``, and a
-count is an ``int``, never a ``bool`` or a float such as 10.0.
+Every numeric range check calls ``check_above``, ``check_unit_interval``,
+``check_count`` or ``check_gamma``, which decide and word each rule once.
+NaN and a non-number such as ``None`` or ``"1"`` fail every check with
+``ParameterError``, and a count is an ``int``, never a ``bool`` or a float
+such as 10.0.
 """
 
 _GAMMA_MATCH_TOL = 1e-12
@@ -80,5 +81,9 @@ def check_count(name: str, value: int, least: int = 1, most: int | None = None) 
 
 def check_gamma(state_gamma: float, gamma: float) -> None:
     """Refuse a framework state whose gate exponent is not ``gamma`` (to 1e-12)."""
-    if not abs(state_gamma - gamma) <= _GAMMA_MATCH_TOL:
-        raise ParameterError(f"state gamma must be {gamma}, got {state_gamma}")
+    try:
+        if abs(state_gamma - gamma) <= _GAMMA_MATCH_TOL:
+            return
+    except TypeError:  # not a number
+        pass
+    raise ParameterError(f"state gamma must be {gamma}, got {_shown(state_gamma)}")

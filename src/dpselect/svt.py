@@ -168,29 +168,22 @@ class RepetitiveSvt:
         self.charged = 0
         self.halted = False
         # Both hypotheses test the query in flight shifted to threshold 0,
-        # built once per session.  The closure reads a holder, not the
-        # session: a closure over the session would make a reference cycle
-        # and leave every finished session to the cyclic collector.  The
-        # holder keeps the query and, once read, its shifted value; process
-        # empties it on exit, so no query outlives its call.
-        in_flight: list = [None, None]
+        # built once per session.  The closure reads a one-slot holder, not
+        # the session: a closure over the session would make a reference
+        # cycle and leave every finished session to the cyclic collector.
+        # process puts each query's shifted value there; a float pins no
+        # query, so the holder is never emptied.
+        self._in_flight = in_flight = [0.0]
 
         def shifted(dataset: Dataset) -> float:
-            query, value = in_flight
-            if value is None:
-                return query.evaluator(dataset) - query.threshold
-            return value
+            return in_flight[0]
 
-        self._in_flight = in_flight
         self._above = above_hypothesis(
             shifted, 0.0, config.epsilon_prime, config.sensitivity
         )
         self._below = below_hypothesis(
             shifted, 0.0, config.d, config.epsilon_prime, config.sensitivity
         )
-        # With a declared TOP probability, process reads each query's value
-        # once and settles an above batch that is certain to pass.
-        self._analytic = self._above.top_probability is not None
         self._scale = config.sensitivity / config.epsilon_prime
         self._bound_p = math.nan
         self._bound = math.nan
@@ -201,38 +194,30 @@ class RepetitiveSvt:
         The raising call itself consumed the final budget unit; the query
         that triggered it is left unanswered, as is everything after it.
 
-        On the analytic route the query's shifted value is read once and
-        serves every batch.  A value at or below ``_settle_bound`` answers
-        BOT at once, with the first above batch's effects: the epsilon
-        registration, that one read, and no draw, charge or TOP.
+        The query's shifted value is read once and serves every batch.  A
+        value at or below ``_settle_bound`` answers BOT at once, with the
+        first above batch's effects: the epsilon registration, that one
+        read, and no draw, charge or TOP.
         """
         if self.halted:
             raise HaltedError("TOP budget exhausted, session halted")
-        value = None
-        if self._analytic:
-            state = self.state
-            state.ledger.register(self.config.epsilon_prime)
-            value = query.evaluator(state.dataset) - query.threshold
-            if state.p != self._bound_p:
-                self._bound_p = state.p
-                self._bound = _settle_bound(state.p, self.config.tau, self._scale)
-            if value <= self._bound:
-                return BOT
-        self._in_flight[0] = query
-        self._in_flight[1] = value
-        try:
-            above = True
-            while not self.state.test_batch(
-                self._above if above else self._below, self.config.tau
-            ):
-                self.charged += 1
-                if self.charged == self.config.k_prime:
-                    self.halted = True
-                    raise HaltedError("TOP budget exhausted, session halted")
-                above = not above
-            return BOT if above else TOP
-        finally:
-            self._in_flight[0] = self._in_flight[1] = None
+        state = self.state
+        state.ledger.register(self.config.epsilon_prime)
+        value = query.evaluator(state.dataset) - query.threshold
+        if state.p != self._bound_p:
+            self._bound_p = state.p
+            self._bound = _settle_bound(state.p, self.config.tau, self._scale)
+        if value <= self._bound:
+            return BOT
+        self._in_flight[0] = value
+        above = True
+        while not state.test_batch(self._above if above else self._below, self.config.tau):
+            self.charged += 1
+            if self.charged == self.config.k_prime:
+                self.halted = True
+                raise HaltedError("TOP budget exhausted, session halted")
+            above = not above
+        return BOT if above else TOP
 
 
 def repetitive_svt(

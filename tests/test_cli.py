@@ -126,6 +126,27 @@ def _assert_refused(capsys, args):
     assert captured.out == ""
 
 
+# json reads NaN, Infinity and 1e999 (an overflow to inf) as floats; a
+# config holding one must not run and print a bound that cannot fail.  An
+# int past the float range overflows the first float sum it meets.
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("accountant", '{"epsilon": NaN}'),
+        ("accountant", '{"epsilon": Infinity}'),
+        ("svt-bench", '{"epsilon": 1e999}'),
+        ("mwu-bench", '{"epsilon": 1e999}'),
+        ("coin-verify", '{"alphas": [2.0, Infinity]}'),
+        ("accountant", '{"max_tops": 1%s}' % ("0" * 400)),
+    ],
+    ids=["nan", "infinity", "1e999", "1e999-mwu", "list-entry", "int-1e400"],
+)
+def test_non_finite_config_values_exit_2(tmp_path, capsys, command, text):
+    config = tmp_path / "c.json"
+    config.write_text(text)
+    _assert_refused(capsys, [command, "--config", str(config), "--trials", "1"])
+
+
 @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
 def test_negative_seed_exits_2(capsys, command):
     _assert_refused(capsys, [command, "--seed", "-1", "--trials", "1"])

@@ -117,6 +117,11 @@ def _svt(**changes):
     return svt_params(**args)
 
 
+def _gamma_state(gamma):
+    """A framework state whose gate exponent was set by hand, past init's check."""
+    return dataclasses.replace(forced_state(), gamma=gamma)
+
+
 # (entry point, parameter named in the refusal, bad values, call with the value)
 CASES = [
     ("RandomStream", "seed", STREAM_KEY, RandomStream),
@@ -168,6 +173,8 @@ CASES = [
     ("svt_params", "delta", UNIT + NOT_A_NUMBER, lambda v: _svt(delta=v)),
     ("RepetitiveSvt", "tau", COUNT,
      lambda v: RepetitiveSvt(dataclasses.replace(_svt(), tau=v), forced_state(_svt().gamma))),
+    ("RepetitiveSvt", "state gamma", NOT_A_NUMBER,
+     lambda v: RepetitiveSvt(_svt(), _gamma_state(v))),
     ("above_hypothesis", "epsilon_prime", POSITIVE,
      lambda v: above_hypothesis(lambda ds: 0.0, 0.0, v, 1.0)),
     ("below_hypothesis", "d", NONNEGATIVE,
@@ -175,6 +182,9 @@ CASES = [
     ("BtmConfig", "alpha", (NAN, 0.5, -1), lambda v: BtmConfig(v, 0.1)),
     ("BtmConfig", "beta", UNIT, lambda v: BtmConfig(1.0, v)),
     ("BtmConfig", "budget_cap", COUNT, lambda v: BtmConfig(1.0, 0.01, budget_cap=v)),
+    ("better_than_median", "state gamma", NOT_A_NUMBER,
+     lambda v: better_than_median(Mechanism(lambda ds, s: ScoredCandidate(0, 1.0), 0.1),
+                                  BtmConfig(1.0, 0.5), _gamma_state(v))),
     ("ScoreFamily", "sensitivity", POSITIVE,
      lambda v: ScoreFamily.from_table(4, sensitivity=v)),
     ("ScoreFamily", "k_bound", COUNT, lambda v: ScoreFamily.from_table(4, k_bound=v)),

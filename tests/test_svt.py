@@ -264,24 +264,19 @@ def test_process_after_halt_raises():
         session.process(constant_query(-100.0, 0.0))
 
 
-def test_scalar_mode_touches_data_at_most_tau_per_batch(monkeypatch):
-    run_every_coin(monkeypatch)
+@pytest.mark.parametrize("every_coin", [False, True])
+@pytest.mark.parametrize("p", [0.0, 0.9])
+def test_a_session_reads_each_query_once(monkeypatch, p, every_coin):
+    # Settled at once, or batched analytically or coin by coin, a query's
+    # data is read exactly once.
+    if every_coin:
+        run_every_coin(monkeypatch)
     config = svt_params(1.0, 1e-6, 1, 4, 0.2)
-
-    def fetching(dataset: Dataset) -> float:
-        dataset.fetch()
-        return -100.0
-
-    query = SvtQuery(evaluator=fetching, threshold=0.0)
-    session, state = make_session(config, seed=5)
-    for _ in range(3):
-        session.process(query)
-    batches = 3 + session.charged
-    assert 0 < state.dataset.access_count <= config.tau * batches
-    closed, closed_state = make_session(config, p=0.0, seed=5)
-    for _ in range(3):
-        closed.process(query)
-    assert closed_state.dataset.access_count == 0
+    session, state = make_session(config, p=p, seed=5)
+    values = [-10.0 * config.d, -config.d / 2.0, 10.0 * config.d, 0.0]
+    for reads, value in enumerate(values, start=1):
+        session.process(reading_query(value))
+        assert state.dataset.access_count == reads
 
 
 def test_scalar_and_auto_modes_agree_in_law(monkeypatch):
