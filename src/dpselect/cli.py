@@ -445,6 +445,9 @@ _RUNNERS = {
 
 # Count keys that may be zero; every other integer key counts at least one.
 _MAY_BE_ZERO = {"max_selections", "max_tops"}
+# The largest count key or --trials: past it a run would ask numpy for an
+# array it cannot allocate, or build output rows until memory runs out.
+_COUNT_LIMIT = 10**6
 
 
 def _is_finite(value) -> bool:
@@ -462,8 +465,8 @@ def _check_override(command: str, key: str, value) -> None:
         ok, kind = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
         least = 0 if key in _MAY_BE_ZERO else 1
-        ok = _is_finite(value) and isinstance(value, int) and value >= least
-        kind = f"an integer of at least {least}"
+        ok = _is_finite(value) and isinstance(value, int) and least <= value <= _COUNT_LIMIT
+        kind = f"an integer in [{least}, {_COUNT_LIMIT}]"
     elif isinstance(default, float):
         ok, kind = _is_finite(value), "a finite number"
     elif isinstance(default, list):
@@ -515,7 +518,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     trials = args.trials if args.trials is not None else _TRIAL_DEFAULTS[args.command]
     try:
-        check_count("--trials", trials)
+        check_count("--trials", trials, most=_COUNT_LIMIT)
         check_count("--seed", args.seed, least=0)
         config = _load_config(args.command, args.config)
         stream = RandomStream(args.seed)

@@ -190,8 +190,6 @@ class MwuConfig:
     k: int
     eta: float
     svt: SvtConfig
-    svt_m: int
-    svt_beta: float
 
 
 def make_mwu_config(
@@ -205,11 +203,12 @@ def make_mwu_config(
 ) -> MwuConfig:
     """Solve alpha and derive the update budget and SVT recipe.
 
-    The SVT is provisioned for 4m threshold queries (two per answer plus
-    retest headroom) at sensitivity 1/n, with its confidence clamped into
-    the regime its own analysis covers.  ``alpha_override`` skips the fixed
-    point to operate outside the guaranteed regime, e.g. for demos at small
-    n; everything downstream is derived from the override instead.
+    The SVT is provisioned for 4m threshold queries at sensitivity 1/n (a
+    session issues one per answer and at most four per update round, so at
+    most m + 4k' in all), with its confidence clamped into the regime its
+    own analysis covers.  ``alpha_override`` skips the fixed point to
+    operate outside the guaranteed regime, e.g. for demos at small n;
+    everything downstream is derived from the override instead.
     """
     check_count("universe size", universe_size, least=2)
     check_count("n", n)
@@ -219,9 +218,7 @@ def make_mwu_config(
         check_unit_interval("alpha_override", alpha_override)
         alpha = float(alpha_override)
     k = math.ceil(math.log(universe_size) / alpha**2)
-    svt_m = 4 * m
-    svt_beta = min(beta, 0.9 / svt_m)
-    svt = svt_params(epsilon, delta, k, svt_m, svt_beta, sensitivity=1.0 / n)
+    svt = svt_params(epsilon, delta, k, 4 * m, min(beta, 0.9 / (4 * m)), sensitivity=1.0 / n)
     return MwuConfig(
         universe_size=universe_size,
         n=n,
@@ -233,8 +230,6 @@ def make_mwu_config(
         k=k,
         eta=alpha / 2.0,
         svt=svt,
-        svt_m=svt_m,
-        svt_beta=svt_beta,
     )
 
 
@@ -247,10 +242,13 @@ class MwuSession:
     raises HaltedError on every further query.  Its bill is read from the
     state's ledger: ``state.pure_cost()`` or ``state.approx_cost(delta)``.
 
-    The four SVT checks (above and below, at radius alpha for the guess and
-    alpha/2 for a release) are built once per session.  Their evaluators
-    fetch and return the offset mean - center (the below check its
-    negation) from a one-slot holder, so an answer allocates no check.
+    Each comparison is one SVT check of the distance |sample mean - center|
+    against a radius: alpha for the guess, alpha/2 for a release.  The
+    distance has the sample mean's sensitivity 1/n (it is 1-Lipschitz in the
+    mean and the center is public).  Both checks are built once per session
+    and their evaluator fetches the distance from a one-slot holder, so an
+    answer allocates no check.  A session issues at most m + 4 * update
+    rounds <= m + 4k' SVT queries.
     """
 
     def __init__(self, config: MwuConfig, dataset: Dataset, stream: RandomStream):
@@ -263,31 +261,23 @@ class MwuSession:
         self.dataset = dataset
         self.state = core.init(config.svt.gamma, dataset, stream)
         self._svt = RepetitiveSvt(config.svt, self.state)
-        # The evaluators read a holder, not the session: a closure over the
+        # The evaluator reads a holder, not the session: a closure over the
         # session would make a reference cycle and leave every finished
         # session to the cyclic collector.
-        offset = [0.0]
+        self._distance = distance = [0.0]
 
-        def above(ds: Dataset) -> float:
+        def evaluator(ds: Dataset) -> float:
             ds.fetch()
-            return offset[0]
+            return distance[0]
 
-        def below(ds: Dataset) -> float:
-            ds.fetch()
-            return -offset[0]
-
-        self._offset = offset
-        self._guess_checks = (SvtQuery(above, config.alpha), SvtQuery(below, config.alpha))
-        self._release_checks = (
-            SvtQuery(above, config.alpha / 2.0),
-            SvtQuery(below, config.alpha / 2.0),
-        )
+        self._guess_check = SvtQuery(evaluator, config.alpha)
+        self._release_check = SvtQuery(evaluator, config.alpha / 2.0)
         self.update_rounds = 0
         self.release_count = 0
         # Row 0 is the public histogram, row 1 the frozen empirical
         # frequencies, so one product gives the guess and the sample mean.
-        # Evaluators still fetch for the access instrumentation; the records
-        # themselves cannot change under a live session.
+        # The evaluator still fetches for the access instrumentation; the
+        # records themselves cannot change under a live session.
         self._table = np.stack([
             uniform_histogram(config.universe_size),
             np.bincount(records, minlength=config.universe_size) / config.n,
@@ -302,13 +292,10 @@ class MwuSession:
     def halted(self) -> bool:
         return self._svt.halted
 
-    def _within(self, mean: float, center: float, checks: tuple[SvtQuery, SvtQuery]) -> bool:
-        """Two one-sided SVT checks of |sample mean - center| <= the checks' radius."""
-        self._offset[0] = mean - center
-        above, below = checks
-        if self._svt.process(above) is not BOT:
-            return False
-        return self._svt.process(below) is BOT
+    def _within(self, mean: float, center: float, check: SvtQuery) -> bool:
+        """One SVT check of |sample mean - center| <= the check's radius."""
+        self._distance[0] = abs(mean - center)
+        return self._svt.process(check) is BOT
 
     def answer(self, query) -> float:
         """Answer one linear query; may consume update budget."""
@@ -316,7 +303,7 @@ class MwuSession:
             raise HaltedError("session halted, no further queries")
         values = as_query_values(query, self.config.universe_size)
         guess, mean = (self._table @ values).tolist()
-        if self._within(mean, guess, self._guess_checks):
+        if self._within(mean, guess, self._guess_check):
             return min(max(guess, 0.0), 1.0)
 
         # The SVT budget is the only halt needed: a failed _within settled a
@@ -333,7 +320,7 @@ class MwuSession:
             self.state.ledger.register(epsilon_prime)
             self.state.ledger.top_responses += 1
             self.release_count += 1
-            if self._within(mean, released, self._release_checks):
+            if self._within(mean, released, self._release_check):
                 break
         direction = 1.0 if released >= guess else -1.0
         self._table[0] = mwu_update(self._table[0], values, direction, self.config.eta)

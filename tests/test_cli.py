@@ -147,6 +147,45 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, command, text):
     _assert_refused(capsys, [command, "--config", str(config), "--trials", "1"])
 
 
+COUNT_KEYS = [
+    (command, key)
+    for command, defaults in sorted(cli._DEFAULTS.items())
+    for key, default in defaults.items()
+    if isinstance(default, int) and not isinstance(default, bool)
+]
+
+
+def _refuse_work(monkeypatch, command):
+    def runner(*args):
+        raise AssertionError("a refused count reached the runner")
+
+    monkeypatch.setitem(cli._RUNNERS, command, runner)
+
+
+# Past the limit numpy refuses some arrays (10**20 candidates, say: a
+# traceback, exit 1), and the accountant builds rows until memory runs out.
+@pytest.mark.parametrize("value", [cli._COUNT_LIMIT + 1, 10**20])
+@pytest.mark.parametrize("command,key", COUNT_KEYS)
+def test_counts_past_the_limit_exit_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, key, value
+):
+    cli._check_override(command, key, cli._COUNT_LIMIT)
+    _refuse_work(monkeypatch, command)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: value}))
+    _assert_refused(capsys, [command, "--config", str(config), "--trials", "1"])
+
+
+@pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+def test_trials_past_the_limit_exit_2(capsys, monkeypatch, command):
+    _refuse_work(monkeypatch, command)
+    assert cli.main([command, "--trials", str(cli._COUNT_LIMIT + 1)]) == 2
+    captured = capsys.readouterr()
+    rule = f"--trials must be an integer in [1, {cli._COUNT_LIMIT}]"
+    assert captured.err.startswith(f"error: {rule}")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
 def test_negative_seed_exits_2(capsys, command):
     _assert_refused(capsys, [command, "--seed", "-1", "--trials", "1"])

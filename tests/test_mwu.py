@@ -30,7 +30,7 @@ from dpselect.mwu import (
     solve_alpha,
 )
 from dpselect.noise import RandomStream
-from dpselect.svt import svt_params
+from dpselect.svt import RepetitiveSvt, svt_params
 
 EXAMPLE = dict(universe_size=64, n=100_000, m=500, epsilon=1.0, delta=1e-6, beta=1e-3)
 
@@ -157,9 +157,7 @@ def test_config_derivations():
     assert config.alpha == 0.25
     assert config.k == math.ceil(math.log(16) / 0.25**2)
     assert config.eta == 0.125
-    assert config.svt_m == 160
-    assert config.svt_beta == min(0.05, 0.9 / 160)
-    want = svt_params(1.0, 1e-6, config.k, 160, config.svt_beta, sensitivity=1 / 5000)
+    want = svt_params(1.0, 1e-6, config.k, 160, min(0.05, 0.9 / 160), sensitivity=1 / 5000)
     assert config.svt == want
     with pytest.raises(ParameterError):
         make_mwu_config(16, 5000, 40, 1.0, 1e-6, 0.05, alpha_override=1.0)
@@ -260,6 +258,51 @@ def test_update_moves_mass_toward_the_release():
     assert session.weights[7] > 1.0 / 8.0
     assert 0.9 <= answer <= 1.0
     assert abs(session.weights.sum() - 1.0) <= 1e-12
+
+
+def test_a_guess_above_the_sample_mean_moves_the_histogram_down():
+    records = np.zeros(3200, dtype=int)
+    config = make_mwu_config(8, 3200, 50, 1.0, 1e-6, 0.05, alpha_override=0.3)
+    session = MwuSession(config, Dataset(records), RandomStream(27))
+    rest = np.ones(8)
+    rest[0] = 0.0
+    # The guess is 7/8, the sample mean 0.
+    answer = session.answer(rest)
+    assert session.update_rounds == 1
+    assert 1 <= session.release_count <= 4
+    assert 0.0 <= answer <= 0.1
+    assert session.weights[0] > 1.0 / 8.0
+    assert session.weights @ rest < 7.0 / 8.0
+
+
+def test_each_comparison_is_one_svt_query(monkeypatch):
+    thresholds = []
+    process = RepetitiveSvt.process
+
+    def counted(self, query):
+        thresholds.append(query.threshold)
+        return process(self, query)
+
+    monkeypatch.setattr(RepetitiveSvt, "process", counted)
+    session, config = uniform_session(seed=21)
+    generator = np.random.default_rng(5)
+    for _ in range(20):
+        session.answer(generator.random(16))
+    assert session.update_rounds == 0
+    assert thresholds == [config.alpha] * 20
+
+    session, config = skewed_session(seed=24)
+    spike = np.zeros(8)
+    spike[7] = 1.0
+    paths = set()
+    for _ in range(40):
+        thresholds.clear()
+        rounds, releases = session.update_rounds, session.release_count
+        session.answer(spike)
+        released = session.release_count - releases
+        paths.add(session.update_rounds - rounds)
+        assert thresholds == [config.alpha] + [config.alpha / 2.0] * released
+    assert paths == {0, 1}
 
 
 def test_repeated_query_settles_without_oscillation():
