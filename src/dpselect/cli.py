@@ -24,7 +24,7 @@ from .coingame import (
     exact_renyi,
     random_valid_schedule,
 )
-from .errors import ParameterError, check_above, check_count
+from .errors import ParameterError, check_above, check_count, check_unit_interval
 from .mwu import (
     FixedPoolAdversary,
     MwuSession,
@@ -115,12 +115,12 @@ def _format_value(value) -> str:
     return format(float(value), ".12g")
 
 
-def _render(command: str, header: dict, rows: list) -> str:
-    lines = ["# " + json.dumps(header, sort_keys=True)]
-    lines.append("experiment,trial,metric,value,meta")
+def _render(command: str, header: dict, rows):
+    """The output lines, each made only when the row behind it is read."""
+    yield "# " + json.dumps(header, sort_keys=True) + "\n"
+    yield "experiment,trial,metric,value,meta\n"
     for trial, metric, value, meta in rows:
-        lines.append(f"{command},{trial},{metric},{_format_value(value)},{meta}")
-    return "\n".join(lines) + "\n"
+        yield f"{command},{trial},{metric},{_format_value(value)},{meta}\n"
 
 
 def _read_rows(path: str, columns: str, minimum: int = 1) -> np.ndarray:
@@ -196,24 +196,30 @@ def _run_coin_verify(config: dict, trials: int, stream: RandomStream, pure_dp: b
 
 
 def _run_accountant(config: dict, trials: int, stream: RandomStream, pure_dp: bool):
-    rows = []
     epsilon = config["epsilon"]
     gamma = config["gamma"]
     delta = config["delta"]
+    # Checked before any row, in the ledger's own words: a refused config prints nothing.
     check_above("gamma", gamma)
-    for c1 in range(config["max_selections"] + 1):
-        for c2 in (0, 1, config["max_tops"]):
-            ledger = core.AccountantLedger()
-            ledger.register(epsilon)
-            ledger.selection_calls = c1
-            ledger.top_responses = c2
-            meta = f"c1={c1};c2={c2}"
-            pure = core.pure_dp_cost(ledger, gamma)
-            rows.append((0, "pure_epsilon", pure.epsilon, meta))
-            if not pure_dp:
-                approx = core.approx_dp_cost(ledger, gamma, delta)
-                rows.append((0, "approx_epsilon", approx.epsilon, meta))
-    return rows, 0
+    check_above("declared epsilon", epsilon, inclusive=True)
+    if not pure_dp:
+        check_unit_interval("delta_target", delta)
+
+    def rows():
+        for c1 in range(config["max_selections"] + 1):
+            for c2 in (0, 1, config["max_tops"]):
+                ledger = core.AccountantLedger()
+                ledger.register(epsilon)
+                ledger.selection_calls = c1
+                ledger.top_responses = c2
+                meta = f"c1={c1};c2={c2}"
+                pure = core.pure_dp_cost(ledger, gamma)
+                yield 0, "pure_epsilon", pure.epsilon, meta
+                if not pure_dp:
+                    approx = core.approx_dp_cost(ledger, gamma, delta)
+                    yield 0, "approx_epsilon", approx.epsilon, meta
+
+    return rows(), 0
 
 
 def _run_select_demo(config: dict, trials: int, stream: RandomStream, pure_dp: bool):
@@ -465,8 +471,8 @@ def _check_override(command: str, key: str, value) -> None:
         ok, kind = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
         least = 0 if key in _MAY_BE_ZERO else 1
-        ok = _is_finite(value) and isinstance(value, int) and least <= value <= _COUNT_LIMIT
-        kind = f"an integer in [{least}, {_COUNT_LIMIT}]"
+        check_count(f"config key {key!r} of {command}", value, least, _COUNT_LIMIT)
+        return
     elif isinstance(default, float):
         ok, kind = _is_finite(value), "a finite number"
     elif isinstance(default, list):
@@ -530,12 +536,12 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "trials": trials,
         }
-        text = _render(args.command, header, rows)
+        lines = _render(args.command, header, rows)
         if args.out:
             with open(args.out, "w") as handle:
-                handle.write(text)
+                handle.writelines(lines)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(lines)
     except (ParameterError, OSError, json.JSONDecodeError, UnicodeDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

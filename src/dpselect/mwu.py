@@ -57,7 +57,10 @@ class LinearQuery:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _checked_query_values(self.values, 1))
+        # Its own read-only copy: no later write can move a value out of [0, 1].
+        values = _checked_query_values(np.array(self.values, dtype=float), 1)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def rows(cls, table) -> Iterator[LinearQuery]:
@@ -82,7 +85,7 @@ class LinearQuery:
 
 
 def as_query_values(query, universe_size: int) -> np.ndarray:
-    values = query.values if isinstance(query, LinearQuery) else LinearQuery(np.asarray(query)).values
+    values = query.values if isinstance(query, LinearQuery) else _checked_query_values(query, 1)
     if values.size != universe_size:
         raise ParameterError(
             f"query has {values.size} entries, universe has {universe_size}"
@@ -349,6 +352,8 @@ class FixedPoolAdversary:
         self._queries = [
             query if isinstance(query, LinearQuery) else LinearQuery(query) for query in queries
         ]
+        if not self._queries:
+            raise ParameterError("the query pool must not be empty")
         self._cursor = 0
 
     def next_query(self) -> LinearQuery:

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -275,6 +276,32 @@ def test_accountant_pure_dp_drops_approx_rows(tmp_path):
     assert "approx_epsilon" not in text
     _, both = run_cli(tmp_path, "q", "accountant", {}, 1)
     assert "approx_epsilon" in both
+
+
+def test_accountant_memory_does_not_grow_with_its_rows(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"max_selections": 10_000}))
+    out = tmp_path / "rows.csv"
+    tracemalloc.start()
+    try:
+        assert cli.main(["accountant", "--config", str(config), "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with out.open() as handle:
+        assert sum(1 for _ in handle) == 2 + 6 * 10_001
+    # About 20 MB when every row was held and joined before writing.
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("overrides", [{"epsilon": -1.0}, {"delta": 1.5}])
+def test_accountant_refuses_before_its_first_row(tmp_path, capsys, overrides):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(overrides))
+    _assert_refused(capsys, ["accountant", "--config", str(config)])
+    if "delta" in overrides:
+        # A pure-DP run reads no delta.
+        assert cli.main(["accountant", "--config", str(config), "--pure-dp"]) == 0
 
 
 def test_failure_exit_code_is_plumbed_through(tmp_path, monkeypatch):

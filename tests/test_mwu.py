@@ -200,6 +200,22 @@ def test_query_value_validation():
     assert as_query_values(LinearQuery(np.zeros(4)), 4).size == 4
 
 
+def test_linear_query_keeps_its_own_read_only_copy():
+    values = np.full(16, 0.5)
+    query = LinearQuery(values)
+    values[0] = 1e6
+    assert np.array_equal(query.values, np.full(16, 0.5))
+    with pytest.raises(ValueError):
+        query.values[0] = 5.0
+    # A session and the baseline answer as if the caller had never written.
+    mutated, _ = uniform_session(seed=3)
+    untouched, _ = uniform_session(seed=3)
+    assert mutated.answer(query) == untouched.answer(LinearQuery(np.full(16, 0.5)))
+    assert np.isfinite(mutated.weights).all()
+    answerer = EmpiricalAnswerer(Dataset(np.arange(16)), 16)
+    assert answerer.answer(query) == pytest.approx(0.5, rel=1e-15)
+
+
 def uniform_session(seed=0, universe=16, copies=200, alpha=0.3):
     records = np.tile(np.arange(universe), copies)
     config = make_mwu_config(
@@ -424,6 +440,12 @@ def test_fixed_pool_cycles_and_ignores_answers():
     # The pool is checked once, when it is built.
     with pytest.raises(ParameterError, match=r"\[0, 1\]"):
         FixedPoolAdversary([np.zeros(4), np.full(4, 1.5)])
+
+
+def test_fixed_pool_refuses_an_empty_pool():
+    # refused when built, not by a ZeroDivisionError on the first query
+    with pytest.raises(ParameterError, match="pool must not be empty"):
+        FixedPoolAdversary([])
 
 
 def test_half_subsets_are_uniform_and_independent_across_blocks():

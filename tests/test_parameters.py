@@ -96,8 +96,7 @@ def _stable(**changes):
 
 
 def _release(epsilon=0.9, delta=0.05):
-    base = tlap_release_baseline(_QUERIES, 0.3, 0.05**2 / 10.0)
-    return query_release_amplified(base, _QUERIES, epsilon, delta, forced_state())
+    return query_release_amplified(_QUERIES, epsilon, delta, forced_state())
 
 
 def _harness(**changes):
