@@ -1,0 +1,48 @@
+"""The pair summary of ``tools/bench_pairs.py``: quartiles, wins and ratios."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+SPEC = importlib.util.spec_from_file_location("bench_pairs", PATH)
+bench_pairs = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+    {"name": "op_p50_ms", "better": "lower", "bound": 0.25},
+]
+
+
+def side(ops, p50, digest="d", attempted=10, failed=0):
+    return {
+        "metrics": {"ops_per_s": ops, "op_p50_ms": p50},
+        "attempted": attempted, "failed": failed, "correct": True, "digest": digest,
+    }
+
+
+def test_summary_counts_wins_by_direction_and_ties_for_neither():
+    runs = [
+        {"seed": 1, "first": "parent", "parent": side(100, 2.0), "change": side(110, 1.8)},
+        {"seed": 2, "first": "change", "parent": side(100, 2.0), "change": side(100, 2.2)},
+        {"seed": 3, "first": "parent", "parent": side(90, 2.4, failed=1), "change": side(120, 2.4)},
+        {"seed": 4, "first": "change", "parent": side(96, 2.1), "change": side(95, 1.9)},
+    ]
+    report = bench_pairs.summarise(runs, END_TO_END)
+    assert report["pairs"] == 4
+    assert report["change_wins"] == {"ops_per_s": 2, "op_p50_ms": 2}
+    assert report["attempted"] == {"parent": 40, "change": 40}
+    assert report["failed"] == {"parent": 1, "change": 0}
+    assert report["digests_match"]
+    # numpy.percentile's linear interpolation over 90, 96, 100, 100.
+    assert report["summary"]["parent"]["ops_per_s"] == {"median": 98.0, "q1": 94.5, "q3": 100.0}
+    assert report["change_over_parent_median"]["ops_per_s"] == pytest.approx(105.0 / 98.0)
+    assert report["bound"] == {"ops_per_s": 0.25, "op_p50_ms": 0.25}
+    assert report["runs"] is runs
+
+
+def test_summary_reports_a_digest_mismatch():
+    runs = [{"seed": 1, "first": "parent", "parent": side(1, 1, "a"), "change": side(1, 1, "b")}]
+    assert not bench_pairs.summarise(runs, END_TO_END)["digests_match"]

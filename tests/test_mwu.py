@@ -183,6 +183,26 @@ def test_answerers_refuse_records_that_are_not_universe_indices(records):
         MwuSession(config, Dataset(records), RandomStream(0))
 
 
+@pytest.mark.parametrize(
+    "records, universe",
+    [
+        (np.repeat(np.arange(8), [5, 0, 3, 1, 0, 7, 2, 0]), 8),  # sorted, some indices missed
+        (np.random.default_rng(4).permutation(np.repeat(np.arange(8), [5, 0, 3, 1, 0, 7, 2, 4])), 8),
+        (np.array([3]), 8),
+        (np.array([0]), 2),
+        (np.array([7, 7, 7]), 8),
+        (np.array([0, 0, 1, 1, 1]), 5),
+        (np.array([2, 2, 1, 0, 0], dtype=np.int32), 4),
+        (np.array([0, 1, 1, 3], dtype=np.uint8), 4),
+    ],
+)
+def test_record_counts_equal_bincount(records, universe):
+    counts = mwu._record_counts(records, universe)
+    expected = np.bincount(records, minlength=universe)
+    assert counts.dtype == expected.dtype
+    assert counts.tolist() == expected.tolist()
+
+
 def test_query_value_validation():
     for bad in ([0.5, 1.2], [2.0, 0.5], [-0.1, 0.5], [0.5, np.nan], [0.2, np.inf], [-np.inf, 0.3]):
         with pytest.raises(ParameterError) as single:
@@ -251,6 +271,37 @@ def test_exact_histogram_answers_by_guessing():
     assert cost.epsilon == pytest.approx(
         config.svt.gamma * config.svt.epsilon_prime, rel=1e-12
     )
+
+
+def test_a_guessed_answer_is_the_clamped_first_row_of_one_product():
+    # The guess and the sample mean are the two rows of one product of the
+    # stacked (histogram, frequencies) table.  With OpenBLAS the histogram row
+    # alone, ``weights @ values`` (a dot product), rounds differently from
+    # the product's first row in about half of these cases.
+    universe = 64
+    zipf = 1.0 / np.arange(1, universe + 1)
+    counts = np.random.default_rng(31).multinomial(48_029, zipf / zipf.sum())
+    records = np.repeat(np.arange(universe), counts)
+    config = make_mwu_config(universe, records.size, 500, 1.0, 1e-6, 0.05, alpha_override=0.15)
+    session = MwuSession(config, Dataset(records), RandomStream(32))
+    frequencies = counts / records.size
+    wide = np.random.default_rng(33).random((90, 2 * universe))
+    queries = [
+        *LinearQuery.rows(wide[:30, :universe].copy()),  # contiguous rows
+        *wide[30:60, ::2],  # strided views
+        *(wide[60:, :universe] > 0.5).astype(int),  # integer arrays
+    ]
+    guessed = [0, 0, 0]
+    for index, query in enumerate(queries):
+        values = np.asarray(query, dtype=float)
+        guess = (np.stack([session.weights, frequencies]) @ values)[0]
+        releases = session.release_count
+        answer = session.answer(query)
+        if session.release_count == releases:
+            guessed[index // 30] += 1
+            assert answer == min(max(float(guess), 0.0), 1.0)
+    assert min(guessed) >= 10
+    assert session.update_rounds >= 5
 
 
 def test_constant_query_is_answered_exactly():
@@ -728,7 +779,7 @@ def test_harness_records_have_the_sampling_law():
     assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
-def test_session_updates_and_releases_on_a_skewed_population():
+def test_session_updates_and_releases_on_a_skewed_population(monkeypatch):
     # Criterion 10's operating point on a Zipf(1) population, which sits far
     # from the uniform starting histogram, so the release loop and the
     # multiplicative update both run.
@@ -738,6 +789,14 @@ def test_session_updates_and_releases_on_a_skewed_population():
     config = make_mwu_config(universe, n, m, 1.0, 1e-6, 1e-2)
     zipf = 1.0 / np.arange(1, universe + 1)
     sessions = []
+    svt_queries = {}
+    process = RepetitiveSvt.process
+
+    def counted(self, query):
+        svt_queries[self] = svt_queries.get(self, 0) + 1
+        return process(self, query)
+
+    monkeypatch.setattr(RepetitiveSvt, "process", counted)
 
     def answerer(dataset, stream):
         sessions.append(MwuSession(config, dataset, stream))
@@ -755,6 +814,10 @@ def test_session_updates_and_releases_on_a_skewed_population():
     for session in sessions:
         assert 1 <= session.update_rounds <= config.svt.k_prime
         assert session.release_count >= session.update_rounds
+        # One SVT query per answer and one per release, at most four
+        # releases per update round: m + 4 * update rounds in all.
+        assert svt_queries[session._svt] == m + session.release_count
+        assert svt_queries[session._svt] <= m + 4 * session.update_rounds
     assert not report.halted.any()
     assert report.empirical_errors.max() <= config.alpha
 
