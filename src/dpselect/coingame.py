@@ -10,12 +10,14 @@ forward recurrence over (round, ones seen).
 
 A schedule is two read-only float64 vectors, ``ps`` and ``qs``, checked
 against the promise in one array pass; a random schedule takes all its
-uniforms in one draw.  At k = 1 the recurrence has one live state, so it
-runs as array code: the state's value is the running product (cumprod) of
-the rounds' zero factors, and the result is the in-order cumulative sum
-(or the max) of the halting outcomes' values and the survivor's.  Each
-float operation is the round-by-round recurrence's own, in its order, so
-the doubles are the same.  For k > 1 the recurrence runs round by round.
+uniforms in one draw.  A schedule keeps one read-only table of its rounds'
+factors for each of its last ``_CACHED_ORDERS`` orders.  At k = 1 the
+recurrence has one live state, so it runs as array code: the running
+product (cumprod) of the zero factors, then the in-order cumulative sum (or
+the max) of the halting outcomes' values and the survivor's.  For k > 1 it
+runs over the table's floats, one count of ones at a time, forming a
+product only when both operands are nonzero.  Each float operation is the
+round-by-round recurrence's own, in its order, so the doubles are the same.
 
 Conventions: a truncation at cap m keeps each transcript still running
 after m rounds as its own outcome; for k = 1 that is the single event
@@ -40,6 +42,7 @@ from .errors import ParameterError, PromiseViolation, check_above, check_count
 from .noise import RandomStream
 
 _PROMISE_TOL = 1e-12
+_CACHED_ORDERS = 4
 _Q_LOW = 0.05
 _Q_HIGH = 0.95
 # The promise's rules, in the order a pair is checked against them.
@@ -119,6 +122,7 @@ class DeterministicAdversary:
         for name, values in (("ps", ps), ("qs", qs)):
             values.flags.writeable = False
             object.__setattr__(self, name, values)
+        object.__setattr__(self, "_factor_tables", {})
 
     @classmethod
     def from_probabilities(
@@ -137,24 +141,30 @@ class DeterministicAdversary:
     def __len__(self) -> int:
         return self.ps.size
 
+    def _factors(self, alpha: float | None) -> np.ndarray:
+        """Read-only (2, n) factors of each round's one, then its zero.
 
-def _step(mass_p: float, mass_q: float, alpha: float | None) -> float:
-    """One round's factor: P (P/Q)^(alpha-1), or P/Q when alpha is None.
-
-    A power past the largest double reads +inf, as np.float_power gives it
-    on the k = 1 path; Python's ** would raise OverflowError instead.
-    """
-    if mass_p == 0.0:
-        return 0.0
-    if mass_q == 0.0:
-        return math.inf
-    ratio = mass_p / mass_q
-    if alpha is None:
-        return ratio
-    try:
-        return mass_p * ratio ** (alpha - 1.0)
-    except OverflowError:
-        return math.inf
+        A factor is P (P/Q)^(alpha-1), or P/Q when alpha is None: 0 when P = 0,
+        +inf when P > 0 = Q or the power overflows.  np.float_power calls the
+        C library's pow, as Python's ** does; np.power may take a SIMD pow
+        that differs in the last bit.  The oldest order's table goes first.
+        """
+        tables = self._factor_tables
+        table = tables.get(alpha)
+        if table is None:
+            if len(tables) == _CACHED_ORDERS:
+                del tables[next(iter(tables))]
+            mass_p = np.array((self.ps, 1.0 - self.ps))
+            mass_q = np.array((self.qs, 1.0 - self.qs))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                table = mass_p / mass_q
+                if alpha is not None:
+                    table = mass_p * np.float_power(table, alpha - 1.0)
+            # Zero P gives 0, or NaN (0 / 0), which fmax reads as 0.
+            np.fmax(table, 0.0, out=table)
+            table.flags.writeable = False
+            tables[alpha] = table
+        return table
 
 
 def _transcript_fold(
@@ -168,53 +178,40 @@ def _transcript_fold(
     or at round ``cap``.  Outcomes of zero P mass contribute nothing, and a
     positive-P, zero-Q outcome makes the result +inf.
     """
-    ps, qs = adversary.ps[:cap], adversary.qs[:cap]
+    factors = adversary._factors(alpha)[:, :cap]
     if k == 1:
-        # One live state, so the recurrence runs as array code, with its own
-        # float operations in its order.  Row 0 holds each round's factor
-        # for a one, row 1 for a zero, as ``_step`` computes them; P = 0
-        # gives 0 or NaN (0 / 0).  np.float_power calls the C library's
-        # pow, as Python's ** does; np.power may take a SIMD pow that
-        # differs in the last bit.  The state's value before each round is
-        # the running product of the earlier zero factors; the outcomes are
-        # that value times the round's one factor (a halt there), then the
-        # survivor's.
-        mass_p = np.array((ps, 1.0 - ps))
-        mass_q = np.array((qs, 1.0 - qs))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            factors = mass_p / mass_q
-            if alpha is not None:
-                factors = mass_p * np.float_power(factors, alpha - 1.0)
-            one, zero = factors
+        # The state's value before each round is the running product of the
+        # earlier zero factors; the outcomes are that value times the round's
+        # one factor (a halt there), then the survivor's.
+        one, zero = factors
+        with np.errstate(invalid="ignore", over="ignore"):
             values = np.cumprod(np.concatenate(([1.0], zero)))
             values[:-1] *= one
-        # A NaN, from 0 / 0 or 0 * inf, marks an outcome the recurrence skips
-        # as zero-mass, and it spreads down the running product just as the
-        # recurrence's zero does; fmax reads it as 0.
+        # A NaN, from 0 * inf, marks an outcome the recurrence skips as zero-mass;
+        # it spreads down the running product as its zero does; fmax reads 0.
         np.fmax(values, 0.0, out=values)
         # cumsum adds in round order, as the recurrence does; sum() would not.
         return float(values.max() if alpha is None else values.cumsum()[-1])
-    fold = max if alpha is None else operator.add
-    alive = [1.0] + [0.0] * (k - 1)
-    halted = 0.0
-    for p, q in zip(ps.tolist(), qs.tolist()):
-        one = _step(p, q, alpha)
-        zero = _step(1.0 - p, 1.0 - q, alpha)
-        following = [0.0] * k
-        for ones, value in enumerate(alive):
-            if value == 0.0:
-                continue
-            if zero:
-                following[ones] = fold(following[ones], value * zero)
-            if one:
-                if ones + 1 == k:
-                    halted = fold(halted, value * one)
-                else:
-                    following[ones + 1] = fold(following[ones + 1], value * one)
-        alive = following
-    for value in alive:
-        halted = fold(halted, value)
-    return halted
+    # One count of ones at a time: ``column`` holds, before each round, the
+    # value of the state with one fewer one.  A skipped product reads 0, which
+    # leaves a nonnegative sum or max as it was: each fold is the recurrence's.
+    add = alpha is not None
+    ones, zeros = factors.tolist()
+    column = [0.0] * (cap + 1)
+    survivors = []
+    for seen in range(k):
+        value = 0.0 if seen else 1.0
+        following = [value]
+        for before, one, zero in zip(column, ones, zeros):
+            arrived = before * one if before and one else 0.0
+            stayed = value * zero if value and zero else 0.0
+            # The max, inline: max() costs a call per round.
+            value = arrived + stayed if add else arrived if arrived >= stayed else stayed
+            following.append(value)
+        column = following
+        survivors.append(value)
+    halts = [before * one for before, one in zip(column, ones) if before and one]
+    return functools.reduce(operator.add if add else max, halts + survivors, 0.0)
 
 
 def exact_renyi(adversary: DeterministicAdversary, alpha: float) -> float:

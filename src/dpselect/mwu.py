@@ -130,9 +130,12 @@ def _record_counts(records: np.ndarray, universe_size: int) -> np.ndarray:
     Sorted records, as the harness lays them out, are counted by the ends of
     their runs: bincount's increments of one counter wait on each other, so
     on long runs of equal records it takes about twice its shuffled time.
+    Runs are searched in the records' dtype when it holds every index.
     """
     if (records[1:] >= records[:-1]).all():
-        return np.diff(records.searchsorted(np.arange(universe_size + 1)))
+        dtype = np.result_type(records.dtype, np.min_scalar_type(universe_size - 1))
+        starts = records.searchsorted(np.arange(1, universe_size, dtype=dtype))
+        return np.diff(starts, prepend=0, append=records.size)
     return np.bincount(records, minlength=universe_size)
 
 
@@ -499,13 +502,13 @@ def adaptive_harness(
     Per trial: draw n iid records from ``probabilities``, let the adversary
     issue m adaptive queries, and record the worst empirical and population
     error of the answers.  The records are drawn as one multinomial count
-    vector, the law of the multiset of n iid draws, and laid out sorted.
-    Each query is validated once, as a LinearQuery, handed to the answerer
-    in that form, and copied as issued into a buffer; one product scores a
-    trial's answers at its end (or one per _SCORED_ENTRIES entries of
-    queries, when m * |X| is larger).  A NaN answer counts as an unbounded
-    error.  A halted answerer ends its trial early with the errors of the
-    queries answered so far.
+    vector, the law of the multiset of n iid draws, and laid out sorted in the
+    narrowest dtype that holds every index.  Each query is validated once, as a
+    LinearQuery, handed to the answerer in that form, and copied as issued into
+    a buffer; one product scores a trial's answers at its end (or one per
+    _SCORED_ENTRIES entries of queries, when m * |X| is larger).  A NaN answer
+    counts as an unbounded error.  A halted answerer ends its trial early with
+    the errors of the queries answered so far.
     """
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.ndim != 1 or not abs(probabilities.sum() - 1.0) <= 1e-9:
@@ -520,6 +523,7 @@ def adaptive_harness(
     draw_probabilities = probabilities / probabilities.sum()
     capacity = min(m, max(1, _SCORED_ENTRIES // universe_size))
     issued = np.empty((capacity, universe_size))
+    indices = np.arange(universe_size, dtype=np.min_scalar_type(universe_size - 1))
     answers = np.empty(capacity)
     population_errors = np.zeros(trials)
     empirical_errors = np.zeros(trials)
@@ -531,7 +535,7 @@ def adaptive_harness(
         trial_stream = stream.split(trial)
         counts = trial_stream.split(0).generator.multinomial(n, draw_probabilities)
         truths = np.stack([probabilities, counts / n])
-        dataset = Dataset(np.repeat(np.arange(universe_size), counts))
+        dataset = Dataset(np.repeat(indices, counts))
         answerer = answerer_factory(dataset, trial_stream.split(1))
         adversary = adversary_factory(universe_size, trial_stream.split(2))
         worst = np.zeros(2)  # population, empirical

@@ -115,7 +115,8 @@ def transcript_fold_loop(ps, qs, k: int, cap: int, alpha):
     (round, ones seen).
 
     Zero-P outcomes are skipped (so a 0 * inf product never forms) and a
-    positive-P, zero-Q outcome gives +inf.
+    positive-P, zero-Q outcome gives +inf, as does a power past the largest
+    double (where Python's ** raises OverflowError).
     """
 
     def factor(mass_p, mass_q):
@@ -124,7 +125,12 @@ def transcript_fold_loop(ps, qs, k: int, cap: int, alpha):
         if mass_q == 0.0:
             return math.inf
         ratio = mass_p / mass_q
-        return ratio if alpha is None else mass_p * ratio ** (alpha - 1.0)
+        if alpha is None:
+            return ratio
+        try:
+            return mass_p * ratio ** (alpha - 1.0)
+        except OverflowError:
+            return math.inf
 
     fold = max if alpha is None else (lambda a, b: a + b)
     alive = [1.0] + [0.0] * (k - 1)

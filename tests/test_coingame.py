@@ -8,6 +8,7 @@ from scipy import stats
 
 import oracles
 from dpselect.coingame import (
+    _CACHED_ORDERS,
     DeterministicAdversary,
     QueryPair,
     enumerate_transcripts,
@@ -353,17 +354,16 @@ def test_recurrence_keeps_the_zero_mass_conventions(pairs):
     for cap in range(1, len(pairs) + 1):
         for k in range(1, cap + 1):
             assert_matches_enumeration(adv, k, cap)
-        # the array k = 1 fold gives the scalar recurrence's doubles
-        for alpha in (1.5, 2.0, 3.0):
-            assert transcript_renyi(adv, 1, alpha, cap) == fold_reference(adv, 1, cap, alpha)
-        assert transcript_max_log_ratio(adv, 1, cap) == fold_reference(adv, 1, cap, None)
+
+
+# (1e-12, 1e-300) keeps the promise within its 1e-12 tolerance, and its ratio
+# 1e288 squared is past the largest double.
+OVERFLOW_SCHEDULE = [(1e-12, 1e-300), (0.5, 0.45)]
 
 
 def test_overflowing_power_reads_inf_at_every_k():
-    # (1e-12, 1e-300) keeps the promise within its 1e-12 tolerance, and its
-    # ratio 1e288 squared is past the largest double: every k reads +inf,
-    # while the max divergence stays finite.
-    adv = adversary([(1e-12, 1e-300), (0.5, 0.45)], 0.2)
+    # every k reads +inf, while the max divergence stays finite
+    adv = adversary(OVERFLOW_SCHEDULE, 0.2)
     for k in (1, 2, 3):
         assert transcript_renyi(adv, k, 3.0, 2) == math.inf
         assert math.isfinite(transcript_max_log_ratio(adv, k, 2))
@@ -447,3 +447,81 @@ def test_schedules_and_folds_equal_the_scalar_code(epsilon):
                 for alpha in (1.5, 2.0):
                     assert transcript_renyi(adv, k, alpha, 18) == fold_reference(adv, k, 18, alpha)
                 assert transcript_max_log_ratio(adv, k, 18) == fold_reference(adv, k, 18, None)
+
+
+FOLD_ORDERS = (1.5, 2.0, 3.0, None)
+
+
+def fold_grid_schedules():
+    root = RandomStream(84)
+    schedules = [adversary(pairs, 0.2) for pairs in ZERO_MASS_SCHEDULES + [OVERFLOW_SCHEDULE]]
+    for index in range(12):
+        epsilon = (0.05, 0.1, 0.3)[index % 3]
+        schedules.append(random_valid_schedule(root.split(index), 1 + index, epsilon))
+    return schedules
+
+
+def oracle_value(adv, k, cap, alpha):
+    if alpha is None:
+        return transcript_max_log_ratio(adv, k, cap)
+    return transcript_renyi(adv, k, alpha, cap)
+
+
+@pytest.mark.parametrize("adv", fold_grid_schedules())
+def test_oracles_equal_the_loop_oracle_bit_for_bit(adv):
+    # Every oracle against the independent scalar recurrence, with ==: each
+    # k from 1 to 6, every cap and each order, asked in turn on one schedule.
+    length = len(adv)
+    for cap in range(1, length + 1):
+        for k in range(1, 7):
+            for alpha in FOLD_ORDERS:
+                assert oracle_value(adv, k, cap, alpha) == fold_reference(adv, k, cap, alpha)
+    for alpha in FOLD_ORDERS[:-1]:
+        assert exact_renyi(adv, alpha) == fold_reference(adv, 1, length, alpha)
+    assert exact_max_divergence(adv) == fold_reference(adv, 1, length, None)
+
+
+@pytest.mark.parametrize("pairs", [ZERO_MASS_SCHEDULES[0], OVERFLOW_SCHEDULE, None])
+def test_any_order_of_asks_gives_a_fresh_schedules_doubles(pairs):
+    # Orders, caps and k in a shuffled interleaving, with more orders than a
+    # schedule keeps tables for: each answer equals a fresh schedule's, and
+    # the schedule never holds more than its bound.
+    if pairs is None:
+        adv = random_valid_schedule(RandomStream(85), 10, 0.1)
+    else:
+        adv = adversary(pairs, 0.2)
+    orders = (1.5, 2.0, None, 3.0, 1.25, 7.0, 2.5)
+    assert len(orders) > _CACHED_ORDERS
+    asks = [
+        (alpha, cap, k)
+        for alpha in orders
+        for cap in range(1, len(adv) + 1)
+        for k in (1, 2, 3)
+    ]
+    rng = np.random.default_rng(86)
+    for index in rng.permutation(len(asks)).tolist() * 2:
+        alpha, cap, k = asks[index]
+        fresh = DeterministicAdversary(adv.ps, adv.qs, adv.epsilon)
+        assert oracle_value(adv, k, cap, alpha) == oracle_value(fresh, k, cap, alpha)
+        assert 1 <= len(adv._factor_tables) <= _CACHED_ORDERS
+
+
+def test_factor_table_is_read_only_and_built_once_per_order():
+    adv = adversary([(0.5, 0.45), (1e-13, 0.0), (0.0, 0.0)], 0.2)
+    table = adv._factors(2.0)
+    assert table.shape == (2, 3) and table.dtype == np.float64
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    # one factors, then zero factors; zero P reads 0 and P > 0 = Q reads +inf
+    assert table.tolist() == [
+        [0.5 * (0.5 / 0.45), math.inf, 0.0],
+        [0.5 * (0.5 / 0.55), (1.0 - 1e-13) * ((1.0 - 1e-13) / 1.0), 1.0],
+    ]
+    assert adv._factors(2.0) is table
+    assert adv._factors(None) is not table
+    # past the bound the oldest order's table is dropped first
+    for alpha in range(3, 2 + _CACHED_ORDERS):
+        adv._factors(float(alpha))
+    assert list(adv._factor_tables) == [None] + [float(a) for a in range(3, 2 + _CACHED_ORDERS)]
+    assert adv._factors(2.0) is not table

@@ -194,6 +194,8 @@ def test_answerers_refuse_records_that_are_not_universe_indices(records):
         (np.array([0, 0, 1, 1, 1]), 5),
         (np.array([2, 2, 1, 0, 0], dtype=np.int32), 4),
         (np.array([0, 1, 1, 3], dtype=np.uint8), 4),
+        (np.array([0, 1, 1, 200], dtype=np.uint8), 1000),  # a universe past the dtype
+        (np.array([0, 5, 100], dtype=np.int8), 300),
     ],
 )
 def test_record_counts_equal_bincount(records, universe):
@@ -201,6 +203,39 @@ def test_record_counts_equal_bincount(records, universe):
     expected = np.bincount(records, minlength=universe)
     assert counts.dtype == expected.dtype
     assert counts.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("universe", [2, 64, 256, 257])
+def test_harness_records_are_narrow_and_counted_without_a_copy(universe):
+    # The harness lays its records out in the narrowest dtype that holds
+    # every index; checking and counting them must not widen them into a
+    # copy, as searching them with int64 values would (8 bytes a record).
+    seen = []
+
+    def answerer(dataset, stream):
+        seen.append(dataset.records)
+        return EmpiricalAnswerer(dataset, universe)
+
+    probabilities = np.full(universe, 1.0 / universe)
+    adaptive_harness(
+        probabilities, 100_000, 1, lambda u, s: RandomSubsetAdversary(u, s), answerer,
+        trials=1, stream=RandomStream(universe),
+    )
+    (records,) = seen
+    assert records.dtype == np.min_scalar_type(universe - 1)
+    expected = np.bincount(records, minlength=universe)
+    tracemalloc.start()
+    try:
+        checked = mwu._check_records(records, universe)
+        counts = mwu._record_counts(checked, universe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked is records
+    assert counts.dtype == expected.dtype
+    assert counts.tolist() == expected.tolist()
+    # The sorted check's one-byte mask is the largest temporary.
+    assert peak < 4 * records.size
 
 
 def test_query_value_validation():
