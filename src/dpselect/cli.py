@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,70 +43,6 @@ from .selectapps import (
     topk_select,
 )
 from .svt import SvtQuery, repetitive_svt, svt_params
-
-_DEFAULTS = {
-    "coin-verify": {
-        "length": 30,
-        "epsilon": 0.2,
-        "alphas": [1.5, 2.0],
-        "schedule_file": None,
-    },
-    "accountant": {
-        "epsilon": 0.01,
-        "gamma": 1.0,
-        "delta": 1e-6,
-        "max_selections": 5,
-        "max_tops": 25,
-    },
-    "select-demo": {
-        "alpha": 2.0,
-        "beta": 0.5,
-        "candidates": 64,
-        "epsilon": 0.05,
-    },
-    "topk-bench": {
-        "m": 40,
-        "k": 5,
-        "epsilon": 0.9,
-        "delta": 1e-4,
-        "beta": 0.2,
-        "budget_cap": 4000,
-        "table_file": None,
-    },
-    "svt-bench": {
-        "m": 64,
-        "k": 4,
-        "epsilon": 1.0,
-        "delta": 1e-6,
-        "beta": 0.01,
-        "queries": 32,
-        "sensitivity": 1.0,
-        "query_file": None,
-        "baseline": True,
-    },
-    "mwu-bench": {
-        "universe": 16,
-        "n": 4000,
-        "m": 16,
-        "epsilon": 2.0,
-        "delta": 1e-5,
-        "beta": 0.05,
-        "alpha": 0.3,
-        "adversary": "subset",
-        "distribution": "skewed",
-        "per_query": True,
-    },
-}
-
-_TRIAL_DEFAULTS = {
-    "coin-verify": 20,
-    "accountant": 1,
-    "select-demo": 200,
-    "topk-bench": 5,
-    "svt-bench": 5,
-    "mwu-bench": 3,
-}
-
 
 def _format_value(value) -> str:
     if isinstance(value, bool):
@@ -439,13 +376,66 @@ def _run_mwu_bench(config: dict, trials: int, stream: RandomStream, pure_dp: boo
     return rows, over_budget
 
 
-_RUNNERS = {
-    "coin-verify": _run_coin_verify,
-    "accountant": _run_accountant,
-    "select-demo": _run_select_demo,
-    "topk-bench": _run_topk_bench,
-    "svt-bench": _run_svt_bench,
-    "mwu-bench": _run_mwu_bench,
+class _Command(NamedTuple):
+    """One subcommand: its runner, its default --trials and its config defaults."""
+
+    run: Callable[[dict, int, RandomStream, bool], tuple]
+    trials: int
+    defaults: dict
+
+
+_COMMANDS = {
+    "coin-verify": _Command(_run_coin_verify, 20, {
+        "length": 30,
+        "epsilon": 0.2,
+        "alphas": [1.5, 2.0],
+        "schedule_file": None,
+    }),
+    "accountant": _Command(_run_accountant, 1, {
+        "epsilon": 0.01,
+        "gamma": 1.0,
+        "delta": 1e-6,
+        "max_selections": 5,
+        "max_tops": 25,
+    }),
+    "select-demo": _Command(_run_select_demo, 200, {
+        "alpha": 2.0,
+        "beta": 0.5,
+        "candidates": 64,
+        "epsilon": 0.05,
+    }),
+    "topk-bench": _Command(_run_topk_bench, 5, {
+        "m": 40,
+        "k": 5,
+        "epsilon": 0.9,
+        "delta": 1e-4,
+        "beta": 0.2,
+        "budget_cap": 4000,
+        "table_file": None,
+    }),
+    "svt-bench": _Command(_run_svt_bench, 5, {
+        "m": 64,
+        "k": 4,
+        "epsilon": 1.0,
+        "delta": 1e-6,
+        "beta": 0.01,
+        "queries": 32,
+        "sensitivity": 1.0,
+        "query_file": None,
+        "baseline": True,
+    }),
+    "mwu-bench": _Command(_run_mwu_bench, 3, {
+        "universe": 16,
+        "n": 4000,
+        "m": 16,
+        "epsilon": 2.0,
+        "delta": 1e-5,
+        "beta": 0.05,
+        "alpha": 0.3,
+        "adversary": "subset",
+        "distribution": "skewed",
+        "per_query": True,
+    }),
 }
 
 
@@ -464,7 +454,7 @@ def _is_finite(value) -> bool:
 
 def _check_override(command: str, key: str, value) -> None:
     """Refuse an override whose JSON type or range does not fit its default."""
-    default = _DEFAULTS[command][key]
+    default = _COMMANDS[command].defaults[key]
     if default is None:
         ok, kind = value is None or isinstance(value, str), "a path or null"
     elif isinstance(default, bool):
@@ -487,7 +477,7 @@ def _check_override(command: str, key: str, value) -> None:
 
 
 def _load_config(command: str, path: str | None) -> dict:
-    config = dict(_DEFAULTS[command])
+    config = dict(_COMMANDS[command].defaults)
     if path is not None:
         with open(path, encoding="utf-8") as handle:
             overrides = json.load(handle)
@@ -509,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dpselect",
         description="benches and verifiers for the selection toolkit",
     )
-    parser.add_argument("command", choices=sorted(_RUNNERS))
+    parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="JSON file overriding command defaults")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=None)
@@ -522,13 +512,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    trials = args.trials if args.trials is not None else _TRIAL_DEFAULTS[args.command]
+    command = _COMMANDS[args.command]
+    trials = args.trials if args.trials is not None else command.trials
     try:
         check_count("--trials", trials, most=_COUNT_LIMIT)
         check_count("--seed", args.seed, least=0)
         config = _load_config(args.command, args.config)
         stream = RandomStream(args.seed)
-        rows, failures = _RUNNERS[args.command](config, trials, stream, args.pure_dp)
+        rows, failures = command.run(config, trials, stream, args.pure_dp)
         header = {
             "command": args.command,
             "config": config,

@@ -65,9 +65,6 @@ class Dataset:
         self.access_count += accesses
         return self.records
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 @dataclass(frozen=True)
 class Mechanism:
@@ -300,6 +297,5 @@ class FrameworkState:
 
 def init(gamma: float, dataset: Dataset, stream: RandomStream) -> FrameworkState:
     """Draw the gate probability once and wrap it in a fresh state."""
-    check_above("gamma", gamma)
     p = sample_pass_probability(stream, gamma)
     return FrameworkState(gamma=float(gamma), p=p, dataset=dataset, stream=stream)

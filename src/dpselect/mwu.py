@@ -263,13 +263,13 @@ class MwuSession:
     raises HaltedError on every further query.  Its bill is read from the
     state's ledger: ``state.pure_cost()`` or ``state.approx_cost(delta)``.
 
-    Each comparison is one SVT check of the distance |sample mean - center|
-    against a radius: alpha for the guess, alpha/2 for a release.  The
-    distance has the sample mean's sensitivity 1/n (it is 1-Lipschitz in the
-    mean and the center is public).  Both checks are built once per session
-    and their evaluator fetches the distance from a one-slot holder, so an
-    answer allocates no check.  A session issues at most m + 4 * update
-    rounds <= m + 4k' SVT queries.
+    Each comparison is one SVT check, at threshold 0, of the distance
+    |sample mean - center| less a radius: alpha for the guess, alpha/2 for a
+    release.  It has the sample mean's sensitivity 1/n (it is 1-Lipschitz in
+    the mean, and the center and radius are public).  The one check is built
+    once per session and its evaluator fetches the value from a one-slot
+    holder, so an answer allocates no check.  A session issues at most
+    m + 4 * update rounds <= m + 4k' SVT queries.
     """
 
     def __init__(self, config: MwuConfig, dataset: Dataset, stream: RandomStream):
@@ -285,14 +285,13 @@ class MwuSession:
         # The evaluator reads a holder, not the session: a closure over the
         # session would make a reference cycle and leave every finished
         # session to the cyclic collector.
-        self._distance = distance = [0.0]
+        self._excess = excess = [0.0]
 
         def evaluator(ds: Dataset) -> float:
             ds.fetch()
-            return distance[0]
+            return excess[0]
 
-        self._guess_check = SvtQuery(evaluator, config.alpha)
-        self._release_check = SvtQuery(evaluator, config.alpha / 2.0)
+        self._check = SvtQuery(evaluator, 0.0)
         self.update_rounds = 0
         self.release_count = 0
         # Row 0 is the public histogram, row 1 the frozen empirical
@@ -313,18 +312,16 @@ class MwuSession:
     def halted(self) -> bool:
         return self._svt.halted
 
-    def _within(self, mean: float, center: float, check: SvtQuery) -> bool:
-        """One SVT check of |sample mean - center| <= the check's radius."""
-        self._distance[0] = abs(mean - center)
-        return self._svt.process(check) is BOT
+    def _within(self, mean: float, center: float, radius: float) -> bool:
+        """One SVT check of |sample mean - center| - radius <= 0."""
+        self._excess[0] = abs(mean - center) - radius
+        return self._svt.process(self._check) is BOT
 
     def answer(self, query) -> float:
         """Answer one linear query; may consume update budget."""
-        if self._svt.halted:
-            raise HaltedError("session halted, no further queries")
         values = as_query_values(query, self.config.universe_size)
         guess, mean = self._table.dot(values).tolist()
-        if self._within(mean, guess, self._guess_check):
+        if self._within(mean, guess, self.config.alpha):
             return min(max(guess, 0.0), 1.0)
 
         # The SVT budget is the only halt needed: a failed _within settled a
@@ -341,26 +338,11 @@ class MwuSession:
             self.state.ledger.register(epsilon_prime)
             self.state.ledger.top_responses += 1
             self.release_count += 1
-            if self._within(mean, released, self._release_check):
+            if self._within(mean, released, self.config.alpha / 2.0):
                 break
         direction = 1.0 if released >= guess else -1.0
         self._table[0] = mwu_update(self._table[0], values, direction, self.config.eta)
         return min(max(released, 0.0), 1.0)
-
-
-class EmpiricalAnswerer:
-    """Baseline that answers every query with the exact sample mean."""
-
-    def __init__(self, dataset: Dataset, universe_size: int):
-        check_count("universe size", universe_size)
-        records = _check_records(dataset.fetch(), universe_size)
-        self.dataset = dataset
-        self.universe_size = universe_size
-        self._frequencies = _record_counts(records, universe_size) / records.size
-
-    def answer(self, query) -> float:
-        self.dataset.fetch()
-        return float(self._frequencies @ as_query_values(query, self.universe_size))
 
 
 class FixedPoolAdversary:

@@ -144,7 +144,11 @@ class ScoreFamily:
         return len(self.evaluators)
 
     def evaluate_all(self, dataset: Dataset) -> np.ndarray:
-        return np.array([f(dataset) for f in self.evaluators], dtype=float)
+        """Every score on ``dataset``; raises ParameterError if one is not finite."""
+        scores = np.array([f(dataset) for f in self.evaluators], dtype=float)
+        if not np.all(np.isfinite(scores)):
+            raise ParameterError("scores must be finite")
+        return scores
 
     @classmethod
     def from_table(cls, size: int, **kwargs) -> "ScoreFamily":
@@ -164,17 +168,9 @@ def _score_reader(family: ScoreFamily) -> Callable[[Dataset], np.ndarray]:
 
     The scores cannot change within one selection, so every fired run and
     any fallback share one read, and a selection in which no coin fires reads
-    nothing.  Raises ParameterError if a score is not finite.
+    nothing.
     """
-
-    @functools.cache
-    def read(dataset: Dataset) -> np.ndarray:
-        scores = family.evaluate_all(dataset)
-        if not np.all(np.isfinite(scores)):
-            raise ParameterError("scores must be finite")
-        return scores
-
-    return read
+    return functools.cache(family.evaluate_all)
 
 
 @dataclass(frozen=True)

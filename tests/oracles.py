@@ -257,6 +257,24 @@ def chernoff_uniform_bound(n: int, m: int, beta: float) -> float:
     return math.sqrt(math.log(2.0 * m / beta) / (2.0 * n))
 
 
+class EmpiricalAnswerer:
+    """The naive baseline: every query answered with the exact sample mean.
+
+    ``dataset`` is anything whose ``fetch()`` returns integer records in
+    [0, universe_size); the frequencies are ``np.bincount`` counts over n,
+    and each answer fetches once, as a private answerer would.
+    """
+
+    def __init__(self, dataset, universe_size: int):
+        records = np.asarray(dataset.fetch())
+        self.dataset = dataset
+        self._frequencies = np.bincount(records, minlength=universe_size) / records.size
+
+    def answer(self, query) -> float:
+        self.dataset.fetch()
+        return float(self._frequencies @ np.asarray(query, dtype=float))
+
+
 def harness_scores_loop(probabilities, trials):
     """Worst errors and per-query rows of an adaptive harness, query by query.
 

@@ -28,7 +28,6 @@ from dpselect.coingame import (
 from dpselect.core import BOT, EMPTY, TOP, Dataset, Mechanism
 from dpselect.errors import HaltedError, PromiseViolation
 from dpselect.mwu import (
-    EmpiricalAnswerer,
     MwuSession,
     OverfittingAdversary,
     RandomSubsetAdversary,
@@ -385,7 +384,7 @@ def test_criterion_10_mwu_end_to_end():
         )
 
     naive = separation_report(
-        lambda dataset, stream: EmpiricalAnswerer(dataset, universe), 9111
+        lambda dataset, stream: oracles.EmpiricalAnswerer(dataset, universe), 9111
     )
     private = separation_report(
         lambda dataset, stream: MwuSession(config, dataset, stream), 9112
@@ -399,7 +398,7 @@ def test_criterion_10_mwu_end_to_end():
 
 
 def test_criterion_11_cli_determinism(tmp_path):
-    for command in sorted(cli._RUNNERS):
+    for command in sorted(cli._COMMANDS):
         texts = []
         for attempt in range(2):
             out = tmp_path / f"{command}-{attempt}.csv"

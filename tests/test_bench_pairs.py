@@ -1,6 +1,7 @@
-"""The pair summary of ``tools/bench_pairs.py``: quartiles, wins and ratios."""
+"""``tools/bench_pairs.py``: argument checks, and the pair summary's quartiles, wins and ratios."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,49 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
 def test_summary_reports_a_digest_mismatch():
     runs = [{"seed": 1, "first": "parent", "parent": side(1, 1, "a"), "change": side(1, 1, "b")}]
     assert not bench_pairs.summarise(runs, END_TO_END)["digests_match"]
+
+
+@pytest.fixture
+def checkouts(tmp_path):
+    """Two checkouts with a ``bench/run.py`` each; CHANGE's benchmark names two workloads."""
+    roots = []
+    for name in ("parent", "change"):
+        root = tmp_path / name
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text("")
+        roots.append(str(root))
+    benchmark = {"workloads": [{"name": "gate-sessions"}, {"name": "coin-audit"}]}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    return roots + ["--out", str(tmp_path / "out.json"), "--what", "w"]
+
+
+def test_parser_takes_known_workloads_and_a_nonnegative_seed(checkouts):
+    args = bench_pairs.parse_args(checkouts + ["--workload", "coin-audit=2", "--first-seed", "0"])
+    assert args.pairs == {"coin-audit": 2}
+    assert args.first_seed == 0
+    assert [w["name"] for w in args.benchmark["workloads"]] == ["gate-sessions", "coin-audit"]
+
+
+@pytest.mark.parametrize(
+    "extra, words",
+    [
+        (["--workload", "coin-aduit=2"], "'coin-aduit' is not in BENCHMARK.json"),
+        (["--workload", "coin-audit=2", "--workload", "mwu-adaptive=1"], "'mwu-adaptive'"),
+        (["--workload", "coin-audit=0"], "PAIRS >= 1"),
+        (["--first-seed", "-1"], "--first-seed must be nonnegative"),
+    ],
+    ids=["misspelt", "not-in-change", "zero-pairs", "negative-seed"],
+)
+def test_parser_refuses_before_any_run(checkouts, capsys, extra, words):
+    with pytest.raises(SystemExit) as refused:
+        bench_pairs.parse_args(checkouts + extra)
+    assert refused.value.code == 2
+    assert words in capsys.readouterr().err
+
+
+def test_parser_refuses_a_change_without_a_benchmark(checkouts, capsys):
+    (Path(checkouts[1]) / "BENCHMARK.json").unlink()
+    with pytest.raises(SystemExit) as refused:
+        bench_pairs.parse_args(checkouts)
+    assert refused.value.code == 2
+    assert "BENCHMARK.json is unreadable" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import dpselect
 from dpselect import cli
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 FAST_CASES = [
     ("coin-verify", {"length": 8}, 4),
@@ -148,10 +150,16 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, command, text):
     _assert_refused(capsys, [command, "--config", str(config), "--trials", "1"])
 
 
+def test_readme_lists_every_command():
+    text = README.read_text(encoding="utf-8")
+    line = text[text.index("\nCommands: "):].split("\n\n")[0]
+    assert sorted(re.findall(r"`([a-z-]+)`", line)) == sorted(cli._COMMANDS)
+
+
 COUNT_KEYS = [
     (command, key)
-    for command, defaults in sorted(cli._DEFAULTS.items())
-    for key, default in defaults.items()
+    for command, entry in sorted(cli._COMMANDS.items())
+    for key, default in entry.defaults.items()
     if isinstance(default, int) and not isinstance(default, bool)
 ]
 
@@ -160,7 +168,7 @@ def _refuse_work(monkeypatch, command):
     def runner(*args):
         raise AssertionError("a refused count reached the runner")
 
-    monkeypatch.setitem(cli._RUNNERS, command, runner)
+    monkeypatch.setitem(cli._COMMANDS, command, cli._COMMANDS[command]._replace(run=runner))
 
 
 # Past the limit numpy refuses some arrays (10**20 candidates, say: a
@@ -177,7 +185,7 @@ def test_counts_past_the_limit_exit_2_before_any_work(
     _assert_refused(capsys, [command, "--config", str(config), "--trials", "1"])
 
 
-@pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_trials_past_the_limit_exit_2(capsys, monkeypatch, command):
     _refuse_work(monkeypatch, command)
     assert cli.main([command, "--trials", str(cli._COUNT_LIMIT + 1)]) == 2
@@ -187,7 +195,7 @@ def test_trials_past_the_limit_exit_2(capsys, monkeypatch, command):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_negative_seed_exits_2(capsys, command):
     _assert_refused(capsys, [command, "--seed", "-1", "--trials", "1"])
 
@@ -305,9 +313,8 @@ def test_accountant_refuses_before_its_first_row(tmp_path, capsys, overrides):
 
 
 def test_failure_exit_code_is_plumbed_through(tmp_path, monkeypatch):
-    monkeypatch.setitem(
-        cli._RUNNERS, "accountant", lambda *args: ([(0, "stub", 1.0, "")], 3)
-    )
+    stub = cli._COMMANDS["accountant"]._replace(run=lambda *args: ([(0, "stub", 1.0, "")], 3))
+    monkeypatch.setitem(cli._COMMANDS, "accountant", stub)
     config = tmp_path / "c.json"
     config.write_text(json.dumps({}))
     assert cli.main(["accountant", "--config", str(config)]) == 1

@@ -16,7 +16,6 @@ from dpselect import mwu
 from dpselect.core import AccountantLedger, Dataset, approx_dp_cost
 from dpselect.errors import HaltedError, InfeasibleParameters, ParameterError
 from dpselect.mwu import (
-    EmpiricalAnswerer,
     FixedPoolAdversary,
     LinearQuery,
     MwuSession,
@@ -176,8 +175,6 @@ def test_config_refuses_a_bad_sample_size(n, alpha_override):
      np.array([], dtype=int), np.zeros((2, 2), dtype=int)],
 )
 def test_answerers_refuse_records_that_are_not_universe_indices(records):
-    with pytest.raises(ParameterError, match="records must be"):
-        EmpiricalAnswerer(Dataset(records), 4)
     config = make_mwu_config(4, max(records.size, 1), 10, 1.0, 1e-6, 0.05, alpha_override=0.3)
     with pytest.raises(ParameterError, match="records must be"):
         MwuSession(config, Dataset(records), RandomStream(0))
@@ -214,7 +211,7 @@ def test_harness_records_are_narrow_and_counted_without_a_copy(universe):
 
     def answerer(dataset, stream):
         seen.append(dataset.records)
-        return EmpiricalAnswerer(dataset, universe)
+        return oracles.EmpiricalAnswerer(dataset, universe)
 
     probabilities = np.full(universe, 1.0 / universe)
     adaptive_harness(
@@ -267,7 +264,7 @@ def test_linear_query_keeps_its_own_read_only_copy():
     untouched, _ = uniform_session(seed=3)
     assert mutated.answer(query) == untouched.answer(LinearQuery(np.full(16, 0.5)))
     assert np.isfinite(mutated.weights).all()
-    answerer = EmpiricalAnswerer(Dataset(np.arange(16)), 16)
+    answerer = oracles.EmpiricalAnswerer(Dataset(np.arange(16)), 16)
     assert answerer.answer(query) == pytest.approx(0.5, rel=1e-15)
 
 
@@ -378,32 +375,43 @@ def test_a_guess_above_the_sample_mean_moves_the_histogram_down():
 
 
 def test_each_comparison_is_one_svt_query(monkeypatch):
-    thresholds = []
-    process = RepetitiveSvt.process
+    # Every comparison hands the session's one threshold-0 query to the SVT,
+    # once, with the radius for its kind: alpha for the guess, alpha/2 per release.
+    queries, radii = [], []
+    process, within = RepetitiveSvt.process, MwuSession._within
 
     def counted(self, query):
-        thresholds.append(query.threshold)
+        queries.append(query)
         return process(self, query)
 
+    def spied(self, mean, center, radius):
+        radii.append(radius)
+        return within(self, mean, center, radius)
+
     monkeypatch.setattr(RepetitiveSvt, "process", counted)
+    monkeypatch.setattr(MwuSession, "_within", spied)
     session, config = uniform_session(seed=21)
     generator = np.random.default_rng(5)
     for _ in range(20):
         session.answer(generator.random(16))
     assert session.update_rounds == 0
-    assert thresholds == [config.alpha] * 20
+    assert radii == [config.alpha] * 20
+    assert len(queries) == 20
+    assert all(query is session._check and query.threshold == 0.0 for query in queries)
 
     session, config = skewed_session(seed=24)
     spike = np.zeros(8)
     spike[7] = 1.0
     paths = set()
     for _ in range(40):
-        thresholds.clear()
+        queries.clear()
+        radii.clear()
         rounds, releases = session.update_rounds, session.release_count
         session.answer(spike)
         released = session.release_count - releases
         paths.add(session.update_rounds - rounds)
-        assert thresholds == [config.alpha] + [config.alpha / 2.0] * released
+        assert radii == [config.alpha] + [config.alpha / 2.0] * released
+        assert queries == [session._check] * len(radii)
     assert paths == {0, 1}
 
 
@@ -451,6 +459,31 @@ def test_noise_dominated_session_halts_on_budget():
     assert session.state.approx_cost(1e-6) == pytest.approx(
         approx_dp_cost(ledger, config.svt.gamma, 1e-6), rel=1e-12
     )
+
+
+def test_a_halted_answer_charges_counts_and_reads_nothing():
+    records = np.array([0, 1, 2, 3])
+    config = make_mwu_config(16, 4, 3, 0.05, 1e-6, 0.05, alpha_override=0.45)
+    dataset = Dataset(records)
+    session = MwuSession(config, dataset, RandomStream(25))
+    spike = np.zeros(16)
+    spike[0] = 1.0
+    with pytest.raises(HaltedError):
+        for _ in range(60):
+            session.answer(spike)
+    assert session.halted
+
+    def snapshot():
+        ledger = session.state.ledger
+        return (ledger.base_epsilon, ledger.selection_calls, ledger.top_responses,
+                ledger.delta_mass, session.release_count, session.update_rounds,
+                session._svt.charged, dataset.access_count)
+
+    before = snapshot()
+    for _ in range(3):
+        with pytest.raises(HaltedError):
+            session.answer(spike)
+    assert snapshot() == before
 
 
 def test_releases_are_redrawn_at_a_borderline_recheck():
@@ -507,7 +540,7 @@ def test_finished_session_is_freed_without_the_cyclic_collector():
 
 
 def test_empirical_answerer_reports_sample_means():
-    answerer = EmpiricalAnswerer(Dataset(np.array([0, 0, 1, 3])), 4)
+    answerer = oracles.EmpiricalAnswerer(Dataset(np.array([0, 0, 1, 3])), 4)
     values = np.array([1.0, 0.5, 0.0, 0.25])
     assert answerer.answer(values) == pytest.approx(
         (2 * 1.0 + 0.5 + 0.25) / 4.0, rel=1e-15
@@ -610,7 +643,7 @@ def empirical_harness(probabilities, n=10, m=5, trials=1):
         n,
         m,
         lambda u, s: RandomSubsetAdversary(u, s),
-        lambda ds, s: EmpiricalAnswerer(ds, universe),
+        lambda ds, s: oracles.EmpiricalAnswerer(ds, universe),
         trials=trials,
         stream=RandomStream(0),
     )
@@ -870,7 +903,7 @@ def test_fixed_queries_sit_at_the_chernoff_scale():
         10_000,
         100,
         lambda u, s: FixedPoolAdversary(pool),
-        lambda ds, s: EmpiricalAnswerer(ds, universe),
+        lambda ds, s: oracles.EmpiricalAnswerer(ds, universe),
         trials=200,
         stream=RandomStream(31),
     )
@@ -891,7 +924,7 @@ def test_overfitting_attack_separates_naive_from_private():
             n,
             probes + 1,
             lambda u, s: OverfittingAdversary(u, s, probes=probes),
-            lambda ds, s: EmpiricalAnswerer(ds, universe),
+            lambda ds, s: oracles.EmpiricalAnswerer(ds, universe),
             trials=trials,
             stream=RandomStream(seed),
         )

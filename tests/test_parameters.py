@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from conftest import forced_state, make_dataset
 from dpselect import cli, core, errors
 from dpselect.coingame import (
@@ -30,7 +31,6 @@ from dpselect.coingame import (
 from dpselect.core import BOT, AccountantLedger, Hypothesis, Mechanism
 from dpselect.errors import ParameterError
 from dpselect.mwu import (
-    EmpiricalAnswerer,
     OverfittingAdversary,
     RandomSubsetAdversary,
     adaptive_harness,
@@ -105,7 +105,7 @@ def _harness(**changes):
     return adaptive_harness(
         np.full(4, 0.25), args["n"], args["m"],
         lambda u, s: RandomSubsetAdversary(u, s),
-        lambda ds, s: EmpiricalAnswerer(ds, 4),
+        lambda ds, s: oracles.EmpiricalAnswerer(ds, 4),
         args["trials"], RandomStream(0),
     )
 
@@ -220,8 +220,6 @@ CASES = [
      lambda v: make_mwu_config(16, v, 40, 1.0, 1e-6, 0.05, alpha_override=0.3)),
     ("make_mwu_config", "alpha_override", UNIT,
      lambda v: make_mwu_config(16, 5000, 40, 1.0, 1e-6, 0.05, alpha_override=v)),
-    ("EmpiricalAnswerer", "universe size", COUNT,
-     lambda v: EmpiricalAnswerer(make_dataset(np.array([0])), v)),
     ("RandomSubsetAdversary", "universe size", COUNT,
      lambda v: RandomSubsetAdversary(v, RandomStream(0))),
     ("OverfittingAdversary", "universe size", COUNT,
@@ -232,7 +230,7 @@ CASES = [
     ("adaptive_harness", "m", COUNT, lambda v: _harness(m=v)),
     ("adaptive_harness", "trials", COUNT, lambda v: _harness(trials=v)),
     ("cli accountant", "gamma", POSITIVE,
-     lambda v: cli._run_accountant(dict(cli._DEFAULTS["accountant"], gamma=v), 1,
+     lambda v: cli._run_accountant(dict(cli._COMMANDS["accountant"].defaults, gamma=v), 1,
                                    RandomStream(0), False)),
 ]
 

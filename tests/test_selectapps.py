@@ -176,6 +176,13 @@ def test_score_family_validation_and_table():
     assert len(family) == 3
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluate_all_refuses_a_non_finite_score(bad):
+    family = ScoreFamily.from_table(3)
+    with pytest.raises(ParameterError, match="scores must be finite"):
+        family.evaluate_all(make_dataset([4.0, bad, 6.0]))
+
+
 def test_topk_validates_epsilon_range():
     family = ScoreFamily.from_table(4)
     ds = make_dataset([1.0, 2.0, 3.0, 4.0])

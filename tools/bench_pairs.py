@@ -11,7 +11,8 @@ time: even pairs run the parent first, odd pairs the change first.  Without
 pairs.  One traced pair (``--trace 1``, seed S + the most pairs asked for)
 runs last, on the first workload named.  Each run uses the checkout's own
 ``bench/run.py`` for ``run_seconds`` of CHANGE's ``BENCHMARK.json``, with
-``PYTHONDONTWRITEBYTECODE=1``.
+``PYTHONDONTWRITEBYTECODE=1``.  A workload name missing from CHANGE's
+``BENCHMARK.json`` or a negative first seed exits 2 before any run.
 
 The file holds the machine, the seeds, every run, each side's median and
 quartiles (``numpy.percentile`` 25/50/75), the pairs the change won per
@@ -47,9 +48,18 @@ def parse_args(argv):
     for root in (args.parent, args.change):
         if not (root / "bench" / "run.py").is_file():
             parser.error(f"{root} has no bench/run.py")
+    if args.first_seed < 0:
+        parser.error(f"--first-seed must be nonnegative, got {args.first_seed}")
+    try:
+        args.benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+        known = [workload["name"] for workload in args.benchmark["workloads"]]
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        parser.error(f"{args.change}/BENCHMARK.json is unreadable: {error}")
     pairs = {}
     for item in args.workload:
         name, _, count = item.partition("=")
+        if name not in known:
+            parser.error(f"--workload {name!r} is not in BENCHMARK.json: {', '.join(known)}")
         if not count.isdigit() or int(count) < 1:
             parser.error(f"--workload wants NAME=PAIRS with PAIRS >= 1, got {item!r}")
         pairs[name] = int(count)
@@ -115,7 +125,7 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    benchmark = args.benchmark
     seconds = benchmark["run_seconds"]
     pairs = args.pairs or {w["name"]: DEFAULT_PAIRS for w in benchmark["workloads"]}
     roots = {"parent": args.parent, "change": args.change}
