@@ -10,14 +10,12 @@ forward recurrence over (round, ones seen).
 
 A schedule is two read-only float64 vectors, ``ps`` and ``qs``, checked
 against the promise in one array pass; a random schedule takes all its
-uniforms in one draw.  A schedule keeps one read-only table of its rounds'
-factors for each of its last ``_CACHED_ORDERS`` orders.  At k = 1 the
-recurrence has one live state, so it runs as array code: the running
-product (cumprod) of the zero factors, then the in-order cumulative sum (or
-the max) of the halting outcomes' values and the survivor's.  For k > 1 it
-runs over the table's floats, one count of ones at a time, forming a
-product only when both operands are nonzero.  Each float operation is the
-round-by-round recurrence's own, in its order, so the doubles are the same.
+uniforms in one draw.  A schedule computes its P/Q ratio table once and
+folds the recurrence once for each of its last ``_CACHED_ORDERS`` orders
+(``_Fold``); every (k, cap) is read from that fold.  No transcript of cap
+rounds sees more than cap ones, so every k > cap + 1 reads the k = cap + 1
+value.  Each float operation is the round-by-round recurrence's own, in its
+order, so the doubles are the same.
 
 Conventions: a truncation at cap m keeps each transcript still running
 after m rounds as its own outcome; for k = 1 that is the single event
@@ -55,6 +53,22 @@ _PROMISE_RULES = (
 )
 
 
+def _grown(values: np.ndarray, epsilon: float) -> np.ndarray:
+    """exp(epsilon) * values, read through logs once exp(epsilon) overflows.
+
+    Past the largest double a zero value still gives 0, so a (p > 0, q = 0)
+    pair breaks the promise at every epsilon.
+    """
+    try:
+        grow = math.exp(epsilon)
+    except OverflowError:
+        grow = math.inf
+    if grow < math.inf:
+        return grow * values
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(values > 0.0, np.exp(epsilon + np.log(values)), 0.0)
+
+
 def _promise_violation(ps: np.ndarray, qs: np.ndarray, epsilon: float) -> tuple[int, str] | None:
     """(index, wording) of the first pair that breaks the promise, or None.
 
@@ -62,21 +76,18 @@ def _promise_violation(ps: np.ndarray, qs: np.ndarray, epsilon: float) -> tuple[
     it), then q <= p, then the three exp(eps) closeness inequalities.
     """
     check_above("epsilon", epsilon)
-    grow = math.exp(epsilon)
     rest_p, rest_q = 1.0 - ps, 1.0 - qs
-    with np.errstate(invalid="ignore"):
-        broken = np.array((
-            ~((np.minimum(ps, qs) >= 0.0) & (np.maximum(ps, qs) <= 1.0)),
-            qs > ps + _PROMISE_TOL,
-            ps > grow * qs + _PROMISE_TOL,
-            rest_q > grow * rest_p + _PROMISE_TOL,
-            rest_p > grow * rest_q + _PROMISE_TOL,
-        ))
-    # Pair-major order: the first True is the first broken pair's first broken rule.
-    first = int(broken.T.argmax())
-    index, rule = divmod(first, len(_PROMISE_RULES))
-    if not broken[rule, index]:
+    rules = (
+        ~((np.minimum(ps, qs) >= 0.0) & (np.maximum(ps, qs) <= 1.0)),
+        qs > ps + _PROMISE_TOL,
+        ps > _grown(qs, epsilon) + _PROMISE_TOL,
+        rest_q > _grown(rest_p, epsilon) + _PROMISE_TOL,
+        rest_p > _grown(rest_q, epsilon) + _PROMISE_TOL,
+    )
+    if not any(rule.any() for rule in rules):
         return None
+    # Pair-major order: the first True is the first broken pair's first broken rule.
+    index, rule = divmod(int(np.array(rules).T.argmax()), len(_PROMISE_RULES))
     return index, f"{_PROMISE_RULES[rule]}: p={float(ps[index])}, q={float(qs[index])}"
 
 
@@ -122,7 +133,7 @@ class DeterministicAdversary:
         for name, values in (("ps", ps), ("qs", qs)):
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        object.__setattr__(self, "_factor_tables", {})
+        object.__setattr__(self, "_folds", {})
 
     @classmethod
     def from_probabilities(
@@ -141,77 +152,135 @@ class DeterministicAdversary:
     def __len__(self) -> int:
         return self.ps.size
 
-    def _factors(self, alpha: float | None) -> np.ndarray:
-        """Read-only (2, n) factors of each round's one, then its zero.
+    @functools.cached_property
+    def _ratios(self) -> np.ndarray:
+        """Read-only (2, n) P/Q ratios of each round's one, then its zero.
 
-        A factor is P (P/Q)^(alpha-1), or P/Q when alpha is None: 0 when P = 0,
-        +inf when P > 0 = Q or the power overflows.  np.float_power calls the
-        C library's pow, as Python's ** does; np.power may take a SIMD pow
-        that differs in the last bit.  The oldest order's table goes first.
+        A ratio is 0 when P = 0 (fmax reads the 0 / 0 NaN as 0) and +inf when
+        P > 0 = Q.
         """
-        tables = self._factor_tables
-        table = tables.get(alpha)
-        if table is None:
-            if len(tables) == _CACHED_ORDERS:
-                del tables[next(iter(tables))]
-            mass_p = np.array((self.ps, 1.0 - self.ps))
-            mass_q = np.array((self.qs, 1.0 - self.qs))
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                table = mass_p / mass_q
-                if alpha is not None:
-                    table = mass_p * np.float_power(table, alpha - 1.0)
-            # Zero P gives 0, or NaN (0 / 0), which fmax reads as 0.
-            np.fmax(table, 0.0, out=table)
-            table.flags.writeable = False
-            tables[alpha] = table
-        return table
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.array((self.ps, 1.0 - self.ps)) / np.array((self.qs, 1.0 - self.qs))
+        np.fmax(ratios, 0.0, out=ratios)
+        ratios.flags.writeable = False
+        return ratios
+
+    def _fold(self, alpha: float | None) -> "_Fold":
+        """The fold of order alpha, or of the max ratio when alpha is None.
+
+        The schedule keeps its last ``_CACHED_ORDERS`` orders' folds; the
+        oldest order's fold goes first.
+        """
+        folds = self._folds
+        fold = folds.get(alpha)
+        if fold is None:
+            if len(folds) == _CACHED_ORDERS:
+                del folds[next(iter(folds))]
+            fold = folds[alpha] = _Fold(self, alpha)
+        return fold
 
 
-def _transcript_fold(
-    adversary: DeterministicAdversary, k: int, cap: int, alpha: float | None
-) -> float:
-    """Sum (or, when alpha is None, max) of a per-transcript value.
+class _Fold:
+    """One order's recurrence over (round, ones seen) on one schedule.
 
     A transcript's value, P (P/Q)^(alpha-1) or P/Q, is the product of its
-    rounds' factors, so a forward recurrence over (round, ones seen) carries
-    the sum or max per state in O(cap * k).  A state absorbs at its k-th one
-    or at round ``cap``.  Outcomes of zero P mass contribute nothing, and a
-    positive-P, zero-Q outcome makes the result +inf.
+    rounds' factors, so the recurrence carries the sum (``add``) or max per
+    state; a state absorbs at its k-th one or at round ``cap``.  Outcomes of
+    zero P mass contribute nothing, and a positive-P, zero-Q outcome makes
+    the result +inf.
+
+    At k = 1 one state is live, so array code covers the whole schedule:
+    ``survivors[i]``, the running product of the zero factors, is the value
+    of the state with no one after i rounds, and ``running[i]`` folds the
+    halting values of rounds 0..i in order.  Both are sequential, so their
+    prefixes are every cap's values bit for bit.  For k > 1 the fold keeps
+    the latest ``cap``'s state: ``ones`` and ``zeros`` (the table's floats
+    before it), the last grown count of ones' halting value at each round
+    (``column``), each count's survivor at the cap (``tails``) and each k's
+    value (``results``), so a sweep over k grows each count once.
     """
-    factors = adversary._factors(alpha)[:, :cap]
-    if k == 1:
-        # The state's value before each round is the running product of the
-        # earlier zero factors; the outcomes are that value times the round's
-        # one factor (a halt there), then the survivor's.
-        one, zero = factors
+
+    __slots__ = ("add", "table", "survivors", "running", "cap", "ones", "zeros", "column",
+                 "tails", "results")
+
+    def __init__(self, adversary: DeterministicAdversary, alpha: float | None):
+        """The read-only factor table (each round's one factor, then its zero) and k = 1 arrays.
+
+        A factor is P (P/Q)^(alpha-1), or P/Q: 0 when P = 0, +inf when
+        P > 0 = Q or the power overflows.  np.float_power calls the C
+        library's pow, as Python's ** does; np.power may take a SIMD pow that
+        differs in the last bit.
+        """
+        self.add = alpha is not None
+        table = adversary._ratios
+        size = len(adversary)
+        prefixes = np.empty(2 * size + 1)
+        survivors, halts = prefixes[:size + 1], prefixes[size + 1:]
         with np.errstate(invalid="ignore", over="ignore"):
-            values = np.cumprod(np.concatenate(([1.0], zero)))
-            values[:-1] *= one
+            if alpha is not None:
+                ps = adversary.ps
+                table = np.array((ps, 1.0 - ps)) * np.float_power(table, alpha - 1.0)
+                table.flags.writeable = False
+            # A state's value before each round is the running product of the
+            # earlier zero factors; a halt there is that value times the
+            # round's one factor.
+            survivors[0] = 1.0
+            np.cumprod(table[1], out=survivors[1:])
+            np.multiply(survivors[:-1], table[0], out=halts)
         # A NaN, from 0 * inf, marks an outcome the recurrence skips as zero-mass;
         # it spreads down the running product as its zero does; fmax reads 0.
-        np.fmax(values, 0.0, out=values)
-        # cumsum adds in round order, as the recurrence does; sum() would not.
-        return float(values.max() if alpha is None else values.cumsum()[-1])
-    # One count of ones at a time: ``column`` holds, before each round, the
-    # value of the state with one fewer one.  A skipped product reads 0, which
-    # leaves a nonnegative sum or max as it was: each fold is the recurrence's.
-    add = alpha is not None
-    ones, zeros = factors.tolist()
-    column = [0.0] * (cap + 1)
-    survivors = []
-    for seen in range(k):
-        value = 0.0 if seen else 1.0
-        following = [value]
-        for before, one, zero in zip(column, ones, zeros):
-            arrived = before * one if before and one else 0.0
+        np.fmax(prefixes, 0.0, out=prefixes)
+        # The accumulation adds in round order, as the recurrence does; sum() would not.
+        (np.add if self.add else np.maximum).accumulate(halts, out=halts)
+        self.table, self.survivors, self.running = table, survivors, halts
+        self.cap = None
+
+    def value(self, k: int, cap: int) -> float:
+        """The sum (or max) over the transcripts of the k-success game truncated at cap."""
+        if k == 1:
+            before, survivor = self.running[cap - 1], self.survivors[cap]
+            return float(before + survivor if self.add else max(before, survivor))
+        if cap != self.cap:
+            self._restart(cap)
+        # No transcript of cap rounds sees more than cap ones: past k = cap + 1
+        # the extra survivors are 0 and the last column never halts.
+        k = min(k, cap + 1)
+        while len(self.results) < k:
+            self._grow()
+        return self.results[k - 1]
+
+    def _restart(self, cap: int) -> None:
+        """The state at ``cap`` with the no-ones count grown, read from the k = 1 arrays."""
+        self.cap = cap
+        self.ones, self.zeros = self.table[:, :cap].tolist()
+        # The no-ones column: that state's value before each round times the
+        # round's one factor, formed only from nonzero operands, as _grow does.
+        self.column = [
+            before * one if before and one else 0.0
+            for before, one in zip(self.survivors[:cap].tolist(), self.ones)
+        ]
+        self.tails = [float(self.survivors[cap])]
+        self.results = [self.value(1, cap)]
+
+    def _grow(self) -> None:
+        """Grow the next count of ones: its halting column, its survivor, its k's value.
+
+        What arrives at this count each round is the last column's halting
+        value.  A skipped product reads 0, which leaves a nonnegative sum or
+        max as it was: each fold is the recurrence's.
+        """
+        add = self.add
+        value = 0.0
+        column = []
+        for arrived, one, zero in zip(self.column, self.ones, self.zeros):
+            column.append(value * one if value and one else 0.0)
             stayed = value * zero if value and zero else 0.0
             # The max, inline: max() costs a call per round.
             value = arrived + stayed if add else arrived if arrived >= stayed else stayed
-            following.append(value)
-        column = following
-        survivors.append(value)
-    halts = [before * one for before, one in zip(column, ones) if before and one]
-    return functools.reduce(operator.add if add else max, halts + survivors, 0.0)
+        self.column = column
+        self.tails.append(value)
+        fold = operator.add if add else max
+        self.results.append(functools.reduce(fold, self.tails, functools.reduce(fold, column, 0.0)))
 
 
 def exact_renyi(adversary: DeterministicAdversary, alpha: float) -> float:
@@ -222,12 +291,12 @@ def exact_renyi(adversary: DeterministicAdversary, alpha: float) -> float:
     p mass makes the divergence infinite and is reported as +inf.
     """
     check_above("alpha", alpha, 1.0)
-    return _transcript_fold(adversary, 1, len(adversary), alpha)
+    return adversary._fold(alpha).value(1, len(adversary))
 
 
 def exact_max_divergence(adversary: DeterministicAdversary) -> float:
     """Max divergence ln sup_x P(x)/Q(x) of the truncated k = 1 game."""
-    best = _transcript_fold(adversary, 1, len(adversary), None)
+    best = adversary._fold(None).value(1, len(adversary))
     return math.log(best) if best > 0 else 0.0
 
 
@@ -268,7 +337,7 @@ def transcript_renyi(
     check_above("alpha", alpha, 1.0)
     check_count("k", k)
     check_count("cap", cap, most=len(adversary))
-    return _transcript_fold(adversary, k, cap, alpha)
+    return adversary._fold(alpha).value(k, cap)
 
 
 def transcript_max_log_ratio(
@@ -277,7 +346,7 @@ def transcript_max_log_ratio(
     """Max divergence over full truncated transcripts of the k-success game."""
     check_count("k", k)
     check_count("cap", cap, most=len(adversary))
-    best = _transcript_fold(adversary, k, cap, None)
+    best = adversary._fold(None).value(k, cap)
     return math.log(best) if best > 0 else 0.0
 
 
@@ -292,12 +361,12 @@ def random_valid_schedule(
     q and the largest value both closeness inequalities allow.
     """
     check_count("length", length)
-    grow = math.exp(epsilon)
+    check_above("epsilon", epsilon)
     shrink = math.exp(-epsilon)
     # Column 0 is q's uniform and column 1 is p's: the order of one draw per
     # value, round by round.
     uniforms = stream.generator.random((length, 2))
     qs = _Q_LOW + (_Q_HIGH - _Q_LOW) * uniforms[:, 0]
-    p_caps = np.minimum(grow * qs, 1.0 - (1.0 - qs) * shrink)
+    p_caps = np.minimum(_grown(qs, epsilon), 1.0 - (1.0 - qs) * shrink)
     ps = qs + (p_caps - qs) * uniforms[:, 1]
     return DeterministicAdversary(ps, qs, epsilon)

@@ -154,6 +154,68 @@ def transcript_fold_loop(ps, qs, k: int, cap: int, alpha):
     return halted
 
 
+def promise_vertices(epsilon: float) -> list:
+    """The promise region's vertices: (0, 0), (1, 1) and randomized response.
+
+    The region {q <= p, p <= e^eps q, 1 - q <= e^eps (1 - p)} is a triangle
+    (its fourth inequality follows from q <= p).
+    """
+    grow = math.exp(epsilon)
+    return [(0.0, 0.0), (1.0, 1.0), (grow / (1.0 + grow), 1.0 / (1.0 + grow))]
+
+
+def adaptive_values(pairs, k: int, alpha, cap: int) -> list:
+    """The best value any adaptive adversary choosing among ``pairs`` reaches
+    in the k-success game, truncated at each cap 1..cap.
+
+    The value is the E-value sum_x P(x) (P(x)/Q(x))^(alpha-1), or, when alpha
+    is None, the largest ratio P(x)/Q(x).  It is a backward recursion over
+    rounds left and ones seen: a state's value is the best pair's
+    f1 * (its value with one more one) + f0 * (with the same ones), or the
+    larger of those two products for the max, where f1, f0 are the pair's
+    one and zero factors, as in the forward recurrence.  A state with k ones,
+    or no rounds left, is an outcome worth 1.  The adversary sees the
+    transcript, but the values ahead depend on it only through (round, ones),
+    so the best choice does too; a randomised adversary mixes deterministic
+    ones and does no better.
+    """
+
+    def factor(mass_p, mass_q):
+        if mass_p == 0.0:
+            return 0.0
+        ratio = mass_p / mass_q
+        return ratio if alpha is None else mass_p * ratio ** (alpha - 1.0)
+
+    factors = [(factor(p, q), factor(1.0 - p, 1.0 - q)) for p, q in pairs]
+    values = [1.0] * (k + 1)
+    by_cap = []
+    for _ in range(cap):
+        following = []
+        for ones in range(k):
+            more, same = values[ones + 1], values[ones]
+            if alpha is None:
+                best = max(max(one * more, zero * same) for one, zero in factors)
+            else:
+                best = max(one * more + zero * same for one, zero in factors)
+            following.append(best)
+        values = following + [1.0]
+        by_cap.append(values[0])
+    return by_cap
+
+
+def worst_case_e_value(epsilon: float, k: int, alpha, cap: int) -> float:
+    """The supremum, over every adaptive adversary, of the cap-truncated
+    k-success game's E-value (alpha None: of its largest P/Q ratio).
+
+    Each factor f1 = p^alpha q^(1-alpha), and f0 the same form on (1 - p,
+    1 - q), is a perspective of t^alpha, so jointly convex for alpha > 1, and
+    p/q is linear-fractional: the best pair at each state is one of the
+    promise region's three vertices (Boyd & Vandenberghe, Convex
+    Optimization, 3.2.6).
+    """
+    return adaptive_values(promise_vertices(epsilon), k, alpha, cap)[-1]
+
+
 def pair_is_valid(p: float, q: float, epsilon: float, tol: float = 1e-12) -> bool:
     grow = math.exp(epsilon)
     return (

@@ -31,7 +31,7 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
         {"seed": 3, "first": "parent", "parent": side(90, 2.4, failed=1), "change": side(120, 2.4)},
         {"seed": 4, "first": "change", "parent": side(96, 2.1), "change": side(95, 1.9)},
     ]
-    report = bench_pairs.summarise(runs, END_TO_END)
+    report = bench_pairs.summarise(runs, END_TO_END, 20)
     assert report["pairs"] == 4
     assert report["change_wins"] == {"ops_per_s": 2, "op_p50_ms": 2}
     assert report["attempted"] == {"parent": 40, "change": 40}
@@ -42,11 +42,31 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
     assert report["change_over_parent_median"]["ops_per_s"] == pytest.approx(105.0 / 98.0)
     assert report["bound"] == {"ops_per_s": 0.25, "op_p50_ms": 0.25}
     assert report["runs"] is runs
+    # Every run attempted 10 iterations in 20 s.
+    assert report["summary"]["change"]["iterations_per_s"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+
+
+def test_summary_puts_the_loop_rate_beside_ops_per_second():
+    # A check-bound change: ops_per_s doubles while the loop's iterations per
+    # second of run stay put.
+    runs = [
+        {"seed": seed, "first": "parent", "parent": side(100, 2.0, attempted=attempted),
+         "change": side(200, 1.0, attempted=attempted + 10)}
+        for seed, attempted in enumerate((600, 400, 500, 700))
+    ]
+    report = bench_pairs.summarise(runs, END_TO_END, 20)
+    parent, change = report["summary"]["parent"], report["summary"]["change"]
+    # numpy.percentile over 20, 25, 30, 35 (attempted / 20 s), and the same plus 0.5.
+    assert parent["iterations_per_s"] == {"median": 27.5, "q1": 23.75, "q3": 31.25}
+    assert change["iterations_per_s"] == {"median": 28.0, "q1": 24.25, "q3": 31.75}
+    assert change["ops_per_s"]["median"] == 200.0
+    assert report["change_over_parent_median"]["ops_per_s"] == 2.0
+    assert "iterations_per_s" not in report["change_wins"]
 
 
 def test_summary_reports_a_digest_mismatch():
     runs = [{"seed": 1, "first": "parent", "parent": side(1, 1, "a"), "change": side(1, 1, "b")}]
-    assert not bench_pairs.summarise(runs, END_TO_END)["digests_match"]
+    assert not bench_pairs.summarise(runs, END_TO_END, 20)["digests_match"]
 
 
 @pytest.fixture

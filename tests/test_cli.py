@@ -244,6 +244,17 @@ def test_schedule_file_with_equal_pairs_is_null(tmp_path):
     assert values["violations"] == [0.0]
 
 
+@pytest.mark.parametrize("epsilon", [709.79, 1000])
+def test_coin_verify_runs_past_exps_overflow(tmp_path, capsys, epsilon):
+    # exp(eps) overflows a double past 709.78; the promise is read through
+    # logs there, so the run gives a verdict rather than a traceback (exit 1).
+    code, text = run_cli(tmp_path, "e", "coin-verify", {"epsilon": epsilon, "length": 8}, 2)
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    metas = [line.rsplit(",", 1)[1] for line in text.splitlines()[2:-1]]
+    assert len(metas) == 6 and all(meta.endswith("pass=1") for meta in metas)
+
+
 def test_schedule_file_parse_error_names_the_line(tmp_path, capsys):
     schedule = tmp_path / "pairs.csv"
     schedule.write_text("0.5,0.5\n0.4,oops\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -503,12 +504,12 @@ def test_any_order_of_asks_gives_a_fresh_schedules_doubles(pairs):
         alpha, cap, k = asks[index]
         fresh = DeterministicAdversary(adv.ps, adv.qs, adv.epsilon)
         assert oracle_value(adv, k, cap, alpha) == oracle_value(fresh, k, cap, alpha)
-        assert 1 <= len(adv._factor_tables) <= _CACHED_ORDERS
+        assert 1 <= len(adv._folds) <= _CACHED_ORDERS
 
 
 def test_factor_table_is_read_only_and_built_once_per_order():
     adv = adversary([(0.5, 0.45), (1e-13, 0.0), (0.0, 0.0)], 0.2)
-    table = adv._factors(2.0)
+    table = adv._fold(2.0).table
     assert table.shape == (2, 3) and table.dtype == np.float64
     assert not table.flags.writeable
     with pytest.raises(ValueError):
@@ -518,10 +519,165 @@ def test_factor_table_is_read_only_and_built_once_per_order():
         [0.5 * (0.5 / 0.45), math.inf, 0.0],
         [0.5 * (0.5 / 0.55), (1.0 - 1e-13) * ((1.0 - 1e-13) / 1.0), 1.0],
     ]
-    assert adv._factors(2.0) is table
-    assert adv._factors(None) is not table
-    # past the bound the oldest order's table is dropped first
+    assert adv._fold(2.0).table is table
+    # the max order's table is the schedule's one ratio table, the base of every order's
+    ratios = adv._fold(None).table
+    assert ratios is adv._ratios and not ratios.flags.writeable
+    assert ratios.tolist() == [[0.5 / 0.45, math.inf, 0.0], [0.5 / 0.55, 1.0 - 1e-13, 1.0]]
+    # past the bound the oldest order's fold is dropped first
     for alpha in range(3, 2 + _CACHED_ORDERS):
-        adv._factors(float(alpha))
-    assert list(adv._factor_tables) == [None] + [float(a) for a in range(3, 2 + _CACHED_ORDERS)]
-    assert adv._factors(2.0) is not table
+        adv._fold(float(alpha))
+    assert list(adv._folds) == [None] + [float(a) for a in range(3, 2 + _CACHED_ORDERS)]
+    assert adv._fold(2.0).table is not table
+    assert adv._fold(2.0).table.tolist() == table.tolist()
+
+
+def test_interleaved_asks_read_one_grown_fold_per_order():
+    # One 200-round schedule asked as no sweep asks: k descending, caps that
+    # shrink and grow back, then more orders than it keeps folds for, so
+    # folds are evicted and rebuilt while others hold a grown cap.  Every
+    # answer equals a fresh schedule's and the scalar recurrence's, with ==.
+    adv = random_valid_schedule(RandomStream(87), 200, 0.1)
+    orders = (1.5, 2.0, None, 3.0, 1.25, 7.0)
+    assert len(orders) > _CACHED_ORDERS
+    asks = [
+        (alpha, cap, k)
+        for cap in (18, 5, 18, 200)
+        for alpha in orders[:_CACHED_ORDERS]
+        for k in (4, 3, 2, 1)
+    ]
+    asks += [(alpha, 18, k) for alpha in orders for k in (4, 2, 1)]
+    for alpha, cap, k in asks:
+        fresh = DeterministicAdversary(adv.ps, adv.qs, adv.epsilon)
+        want = fold_reference(adv, k, cap, alpha)
+        assert oracle_value(adv, k, cap, alpha) == oracle_value(fresh, k, cap, alpha) == want
+        assert len(adv._folds) <= _CACHED_ORDERS
+
+
+def test_counts_past_the_cap_read_the_cap_plus_one_value():
+    # No transcript of cap rounds sees more than cap ones, so every k past
+    # cap + 1 gives the k = cap + 1 double, folded in O(cap) memory: a loop
+    # over every count of ones up to k = 10**6 held about 40 MB.
+    adv = random_valid_schedule(RandomStream(1), 10, 0.1)
+    for alpha in (2.0, None):
+        want = fold_reference(adv, 11, 10, alpha)
+        assert want == fold_reference(adv, 13, 10, alpha)
+        for k in (11, 12, 10**6):
+            fresh = DeterministicAdversary(adv.ps, adv.qs, adv.epsilon)
+            tracemalloc.start()
+            try:
+                got = oracle_value(fresh, k, 10, alpha)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak < 100_000, f"k={k}: peak {peak} bytes"
+    assert transcript_renyi(adv, 10**6, 2.0, 10) == 1.0178278349151744
+
+
+@pytest.mark.parametrize("epsilon", [709.0, 709.79, 720.0, 1000.0, math.inf])
+def test_a_huge_epsilon_runs_and_keeps_the_zero_mass_rules(epsilon):
+    # Past exp's overflow the closeness rules are read through logs: a zero
+    # q or 1 - p still breaks them against a positive p or 1 - q.
+    adv = random_valid_schedule(RandomStream(1), 5, epsilon)
+    assert np.all((adv.qs <= adv.ps) & (adv.ps <= 1.0))
+    assert 1.0 <= exact_renyi(adv, 2.0) < math.inf
+    assert 0.0 <= exact_max_divergence(adv) <= epsilon
+    assert QueryPair(0.5, 0.4, epsilon).q == 0.4
+    assert len(adversary([(0.5, 0.4), (0.0, 0.0), (1.0, 1.0)], epsilon)) == 3
+    with pytest.raises(PromiseViolation, match=r"^p <= exp\(eps\) \* q fails: p=0.5, q=0.0$"):
+        QueryPair(0.5, 0.0, epsilon)
+    with pytest.raises(PromiseViolation, match=r"^\(1 - q\) <= exp\(eps\) \* \(1 - p\) fails"):
+        QueryPair(1.0, 0.5, epsilon)
+
+
+def test_a_subnormal_q_meets_the_exact_closeness_rule_past_overflow():
+    # e^710 * 1e-310 is about 0.022 and e^720 * 1e-310 about 490: the rule
+    # read through logs keeps the exact verdict on each side of p = 0.5.
+    with pytest.raises(PromiseViolation, match="p <= exp"):
+        QueryPair(0.5, 1e-310, 710.0)
+    assert QueryPair(0.5, 1e-310, 720.0).p == 0.5
+    with pytest.raises(PromiseViolation, match="p <= exp"):
+        QueryPair(0.5, 1e-310, 709.0)
+
+
+# The supremum over every adaptive adversary, by the three-vertex backward
+# recursion of tests/oracles.py.  A value is nondecreasing in the cap (the
+# (0, 0) vertex stalls a round), and every cap up to CAP_SWEEP is checked.
+CAP_SWEEP = 2000
+
+
+def promise_grid(epsilon, points_p=61, points_q=13):
+    """A points_p x points_q grid of the promise region, q from its least value to p."""
+    grid = []
+    for p in np.linspace(0.0, 1.0, points_p).tolist():
+        low = max(p * math.exp(-epsilon), 1.0 - math.exp(epsilon) * (1.0 - p), 0.0)
+        grid += [(p, q) for q in np.linspace(low, p, points_q).tolist()]
+    assert all(oracles.pair_is_valid(p, q, epsilon) for p, q in grid)
+    return grid
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.2])
+def test_worst_case_is_at_least_a_fine_grid_recursion(epsilon):
+    grid = promise_grid(epsilon)
+    vertices = oracles.promise_vertices(epsilon)
+    for k in (1, 2, 3):
+        for alpha in (1.5, 2.0, 3.0, None):
+            best = oracles.adaptive_values(vertices, k, alpha, 8)
+            gridded = oracles.adaptive_values(grid, k, alpha, 8)
+            for cap, (value, floor) in enumerate(zip(best, gridded), 1):
+                assert value >= floor * (1.0 - 1e-12), (k, alpha, cap, value, floor)
+            assert best[-1] == oracles.worst_case_e_value(epsilon, k, alpha, 8)
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.2, 0.3])
+def test_worst_case_is_randomized_response_every_round(epsilon):
+    # The package's oracles on the all-randomized-response schedule reach it.
+    p, q = oracles.promise_vertices(epsilon)[2]
+    for cap in (1, 5, 12, 40):
+        rr = adversary([(p, q)] * cap, epsilon)
+        for k in (1, 2, 3, 4):
+            for alpha in (1.5, 2.0, 1.0 / (3.0 * epsilon)):
+                want = transcript_renyi(rr, k, alpha, cap)
+                assert oracles.worst_case_e_value(epsilon, k, alpha, cap) == pytest.approx(
+                    want, rel=1e-12
+                )
+            want = math.exp(transcript_max_log_ratio(rr, k, cap))
+            assert oracles.worst_case_e_value(epsilon, k, None, cap) == pytest.approx(
+                want, rel=1e-12
+            )
+
+
+def test_criterion_03_bound_holds_at_the_adaptive_supremum():
+    # E <= 1 + 3 alpha (alpha - 1) eps^2 for k = 1, over criterion 03's grid.
+    for epsilon in (0.05, 0.1, 0.2, 0.3):
+        vertices = oracles.promise_vertices(epsilon)
+        for alpha in (1.5, 2.0, 1.0 / (3.0 * epsilon)):
+            values = oracles.adaptive_values(vertices, 1, alpha, CAP_SWEEP)
+            bound = 1.0 + 3.0 * alpha * (alpha - 1.0) * epsilon**2
+            assert 1.0 < values[0] and max(values) <= bound, (epsilon, alpha, max(values))
+
+
+def test_criterion_04_bounds_hold_at_the_adaptive_supremum():
+    # D_inf <= k eps, reached exactly, and D_alpha <= 3 k alpha eps^2, over
+    # criterion 04's grid.
+    for epsilon in (0.05, 0.1, 0.2):
+        vertices = oracles.promise_vertices(epsilon)
+        for k in (1, 2, 3):
+            ratios = oracles.adaptive_values(vertices, k, None, CAP_SWEEP)
+            assert math.log(max(ratios)) == pytest.approx(k * epsilon, rel=1e-12)
+            assert math.log(max(ratios)) <= k * epsilon + 1e-12
+            for alpha in (1.5, 2.0):
+                values = oracles.adaptive_values(vertices, k, alpha, CAP_SWEEP)
+                divergence = math.log(max(values)) / (alpha - 1.0)
+                assert 0.0 < divergence <= 3.0 * k * alpha * epsilon**2, (epsilon, k, alpha)
+
+
+def test_criterion_05_bound_holds_at_the_adaptive_supremum():
+    # E <= 1 + alpha (alpha - 1) eps^2 at alpha = 1 / (3 eps) holds for the
+    # one-pair game of criterion 05 and for every adaptive k = 1 game too.
+    for epsilon in (0.05, 0.1, 0.2):
+        alpha = 1.0 / (3.0 * epsilon)
+        values = oracles.adaptive_values(oracles.promise_vertices(epsilon), 1, alpha, CAP_SWEEP)
+        bound = 1.0 + alpha * (alpha - 1.0) * epsilon**2
+        assert 1.0 < values[0] and max(values) <= bound, (epsilon, max(values))

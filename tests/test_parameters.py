@@ -149,7 +149,9 @@ CASES = [
      lambda v: forced_state().selection(v, [Mechanism(lambda ds, s: 1.0, 0.1)])),
     ("test_batch", "count", COUNT,
      lambda v: forced_state().test_batch(Hypothesis(lambda ds, s: BOT, 0.1), v)),
-    ("QueryPair", "epsilon", POSITIVE, lambda v: QueryPair(0.5, 0.45, v)),
+    ("QueryPair", "epsilon", POSITIVE + NOT_A_NUMBER, lambda v: QueryPair(0.5, 0.45, v)),
+    ("DeterministicAdversary", "epsilon", POSITIVE + NOT_A_NUMBER,
+     lambda v: DeterministicAdversary([0.5], [0.4], v)),
     ("exact_renyi", "alpha", (NAN, 1, 0.5), lambda v: exact_renyi(_ADVERSARY, v)),
     ("transcript_renyi", "alpha", (NAN, 1, 0.5),
      lambda v: transcript_renyi(_ADVERSARY, 1, v, 3)),
@@ -165,6 +167,8 @@ CASES = [
      lambda v: enumerate_transcripts(_ADVERSARY, 1, v)),
     ("random_valid_schedule", "length", COUNT,
      lambda v: random_valid_schedule(RandomStream(0), v, 0.2)),
+    ("random_valid_schedule", "epsilon", POSITIVE + NOT_A_NUMBER,
+     lambda v: random_valid_schedule(RandomStream(0), 3, v)),
     ("svt_params", "epsilon", POSITIVE, lambda v: _svt(epsilon=v)),
     ("svt_params", "k", COUNT, lambda v: _svt(k=v)),
     ("svt_params", "m", COUNT_FROM_2, lambda v: _svt(m=v)),

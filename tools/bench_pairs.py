@@ -17,7 +17,11 @@ runs last, on the first workload named.  Each run uses the checkout's own
 The file holds the machine, the seeds, every run, each side's median and
 quartiles (``numpy.percentile`` 25/50/75), the pairs the change won per
 metric (ties count for neither side), the ratio of the medians, the
-benchmark's bounds and the traced pair.
+benchmark's bounds and the traced pair.  Beside ``ops_per_s`` (timed ops
+over the time inside them) each side's summary holds ``iterations_per_s``,
+the loop's iterations over the whole run (``attempted / run_seconds``): a
+workload whose rate stays put while ``ops_per_s`` grows is bound by its
+checks, and one whose rate grows with it keeps more records in its run.
 """
 
 from __future__ import annotations
@@ -94,7 +98,12 @@ def side_record(run: dict) -> dict:
     }
 
 
-def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
+def quartiles(values: np.ndarray) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise(runs: list[dict], end_to_end: list[dict], run_seconds: float) -> dict:
     """Totals, quartiles, wins and median ratios of a workload's pairs."""
     summary = {side: {} for side in SIDES}
     wins = {}
@@ -103,13 +112,15 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
         name = metric["name"]
         values = {side: np.array([run[side]["metrics"][name] for run in runs]) for side in SIDES}
         for side in SIDES:
-            q1, median, q3 = np.percentile(values[side], [25, 50, 75]).tolist()
-            summary[side][name] = {"median": median, "q1": q1, "q3": q3}
+            summary[side][name] = quartiles(values[side])
         gain = values["change"] - values["parent"]
         if metric["better"] == "lower":
             gain = -gain
         wins[name] = int(np.count_nonzero(gain > 0))
         ratios[name] = summary["change"][name]["median"] / summary["parent"][name]["median"]
+    for side in SIDES:
+        attempted = np.array([run[side]["attempted"] for run in runs])
+        summary[side]["iterations_per_s"] = quartiles(attempted / run_seconds)
     return {
         "pairs": len(runs),
         "attempted": {side: sum(run[side]["attempted"] for run in runs) for side in SIDES},
@@ -141,7 +152,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed={seed} {side}", file=sys.stderr, flush=True)
                 record[side] = side_record(run_once(roots[side], workload, seed, seconds, 0))
             runs.append(record)
-        workloads[workload] = summarise(runs, benchmark["end_to_end"])
+        workloads[workload] = summarise(runs, benchmark["end_to_end"], seconds)
 
     traced_workload = next(iter(pairs))
     traced_seed = args.first_seed + most
@@ -170,9 +181,9 @@ def main(argv=None) -> int:
             "alternating pairs, one per seed: even pairs run the parent first, odd pairs the "
             f"change first; pairs per workload: {json.dumps(pairs)}; the values are the metrics "
             "of each run's last line; medians and quartiles by linear interpolation "
-            "(numpy.percentile 25/50/75); change_wins counts the pairs the change won, ties "
-            f"for neither; seeds {args.first_seed}-{args.first_seed + most - 1} "
-            f"(traced: {traced_seed})"
+            "(numpy.percentile 25/50/75); iterations_per_s is attempted / run_seconds; "
+            "change_wins counts the pairs the change won, ties for neither; "
+            f"seeds {args.first_seed}-{args.first_seed + most - 1} (traced: {traced_seed})"
         ),
         "seeds": list(range(args.first_seed, args.first_seed + most)),
         "workloads": workloads,
