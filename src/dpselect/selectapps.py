@@ -122,45 +122,40 @@ def gap(selected: Sequence[int], scores: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class ScoreFamily:
-    """Score functions over a dataset, with their shared sensitivity.
+    """``size`` sensitivity-1 statistics over a dataset, read as one vector.
 
-    ``k_bound``, when present, certifies that one neighbouring swap moves
-    the whole family's scores by at most k_bound in total; the choosing
-    mechanism requires it.
+    ``scores(dataset)`` returns all ``size`` scores at once, and one
+    neighbouring swap moves each of them by at most 1; every noise scale in
+    this module is calibrated to that unit sensitivity.  ``k_bound``, when
+    present, certifies that one swap moves the whole family's scores by at
+    most k_bound in total; the choosing mechanism requires it.
     """
 
-    evaluators: tuple[Callable[[Dataset], float], ...]
-    sensitivity: float = 1.0
+    scores: Callable[[Dataset], np.ndarray]
+    size: int
     k_bound: int | None = None
 
     def __post_init__(self):
-        if not self.evaluators:
-            raise ParameterError("family must contain at least one evaluator")
-        check_above("sensitivity", self.sensitivity)
+        check_count("size", self.size)
         if self.k_bound is not None:
             check_count("k_bound", self.k_bound)
 
     def __len__(self) -> int:
-        return len(self.evaluators)
+        return self.size
 
     def evaluate_all(self, dataset: Dataset) -> np.ndarray:
-        """Every score on ``dataset``; raises ParameterError if one is not finite."""
-        scores = np.array([f(dataset) for f in self.evaluators], dtype=float)
+        """Every score on ``dataset``; ParameterError on a wrong shape or a non-finite score."""
+        scores = np.array(self.scores(dataset), dtype=float)
+        if scores.shape != (self.size,):
+            raise ParameterError(f"scores must have shape ({self.size},), got {scores.shape}")
         if not np.all(np.isfinite(scores)):
             raise ParameterError("scores must be finite")
         return scores
 
     @classmethod
-    def from_table(cls, size: int, **kwargs) -> "ScoreFamily":
+    def from_table(cls, size: int, k_bound: int | None = None) -> "ScoreFamily":
         """Family whose i-th score is coordinate i of the dataset's records."""
-
-        def reader(index: int) -> Callable[[Dataset], float]:
-            def evaluate(dataset: Dataset) -> float:
-                return float(dataset.fetch()[index])
-
-            return evaluate
-
-        return cls(tuple(reader(i) for i in range(size)), **kwargs)
+        return cls(lambda dataset: dataset.fetch()[:size], size, k_bound)
 
 
 def _score_reader(family: ScoreFamily) -> Callable[[Dataset], np.ndarray]:
@@ -224,7 +219,7 @@ def topk_select(
         # Each row of a block is one base run.  -log E is standard Gumbel noise, so
         # the k smallest of log E - logits peel k exponential-mechanism picks.
         scores = read_scores(ds)
-        logits = scores * (round_epsilon / (2.0 * family.sensitivity))
+        logits = scores * (round_epsilon / 2.0)
         leaders = np.argpartition(scores, m - k - 1)[m - k - 1:]  # the k + 1 best scores
         rows, best = max(1, _BLOCK_ENTRIES // m), None
         for start in range(0, count, rows):
@@ -278,17 +273,10 @@ def _noisy_max(read: Callable[[Dataset], np.ndarray], m: int, epsilon: float, de
     noise = TruncatedLaplaceParams(epsilon, beta * delta / (5.0 * spread))
     ledger_delta = beta * delta / (5.0 * m)
 
-    def noisy(index: int) -> Callable[[Dataset, RandomStream], ScoredCandidate]:
-        def run(ds: Dataset, run_stream: RandomStream) -> ScoredCandidate:
-            return ScoredCandidate(
-                index, read(ds)[index] + sample_truncated_laplace(run_stream, noise)
-            )
+    def run(index: int, ds: Dataset, run_stream: RandomStream) -> ScoredCandidate:
+        return ScoredCandidate(index, read(ds)[index] + sample_truncated_laplace(run_stream, noise))
 
-        return run
-
-    mechanisms = [
-        Mechanism(run=noisy(i), epsilon=epsilon, delta=ledger_delta) for i in range(m)
-    ]
+    mechanisms = [Mechanism(functools.partial(run, i), epsilon, ledger_delta) for i in range(m)]
     selected = state.selection(math.ceil(repeats / beta), mechanisms)
     return None if selected is EMPTY else selected.payload
 
@@ -342,11 +330,10 @@ def stable_select(
     """
     m = len(family)
     check_count("k", k, most=m - 1)
-    read = _score_reader(family)
 
     @functools.cache
     def lifted(ds: Dataset) -> np.ndarray:
-        scores = read(ds)
+        scores = family.evaluate_all(ds)
         return np.maximum(scores - stability_pivot(scores, k), 0.0)
 
     return _noisy_max(lifted, m, epsilon / 3.0, delta, beta, state,
@@ -361,41 +348,37 @@ class ReleaseResult:
     cost: PrivacyCost
 
 
-def tlap_release_baseline(
-    queries: Sequence[Callable[[Dataset], float]], epsilon: float, delta: float
-) -> Mechanism:
+def tlap_release_baseline(family: ScoreFamily, epsilon: float, delta: float) -> Mechanism:
     """Per-query truncated-Laplace release with a probability-one error certificate.
 
-    Half the budget answers the queries coordinate-wise, the other half
-    prices the certificate: s = observed max error + certificate support
-    radius + TLap(epsilon/2, delta/4), which can never undershoot the true
-    error because the added noise cannot exceed its own radius.
+    Half the budget answers the family's queries coordinate-wise, the other
+    half prices the certificate: s = observed max error + certificate
+    support radius + TLap(epsilon/2, delta/4), which can never undershoot
+    the true error because the added noise cannot exceed its own radius.
+    A run returns ScoredCandidate((answers, s), -s), so the lowest
+    certificate ranks best.
     """
-    if not queries:
-        raise ParameterError("baseline needs at least one query")
     check_above("epsilon", epsilon)
     check_unit_interval("delta", delta)
-    k = len(queries)
+    k = len(family)
     answer_noise = TruncatedLaplaceParams(epsilon / (2.0 * k), delta / (4.0 * k))
     certificate_noise = TruncatedLaplaceParams(epsilon / 2.0, delta / 4.0)
 
-    def run(ds: Dataset, run_stream: RandomStream):
-        exact = np.array([f(ds) for f in queries], dtype=float)
+    def run(ds: Dataset, run_stream: RandomStream) -> ScoredCandidate:
+        exact = family.evaluate_all(ds)
         noise = sample_truncated_laplace(run_stream, answer_noise, size=k)
-        released = exact + noise
-        observed_error = float(np.abs(noise).max())
         certificate = (
-            observed_error
+            float(np.abs(noise).max())
             + certificate_noise.support_radius
             + sample_truncated_laplace(run_stream, certificate_noise)
         )
-        return released, certificate
+        return ScoredCandidate((exact + noise, certificate), -certificate)
 
     return Mechanism(run=run, epsilon=epsilon, delta=delta)
 
 
 def query_release_amplified(
-    queries: Sequence[Callable[[Dataset], float]],
+    family: ScoreFamily,
     epsilon: float,
     delta: float,
     state: FrameworkState,
@@ -403,34 +386,27 @@ def query_release_amplified(
     """Boost the truncated-Laplace query release to near-best accuracy.
 
     The gated median boost at confidence delta/10 keeps the best-certified
-    run of tlap_release_baseline(queries, epsilon/3, delta**2/10).  A
-    certificate above 30 * (sqrt(k ln(1/delta)) + ln(1/delta)) / epsilon, or
-    an empty selection, falls back to the exact answers.  That stays inside
-    delta only for this base, whose certificate depends on the noise alone
-    and has hard support, so a fallback is equally rare on every dataset;
-    another base could clear the threshold every time, whatever it declared.
+    run of tlap_release_baseline(family, epsilon/3, delta**2/10), every run
+    sharing one read of the family.  A certificate above
+    30 * (sqrt(k ln(1/delta)) + ln(1/delta)) / epsilon, or an empty
+    selection, falls back to the exact answers.  That stays inside delta
+    only for this base, whose certificate depends on the noise alone and has
+    hard support, so a fallback is equally rare on every dataset; another
+    base could clear the threshold every time, whatever it declared.
+    Raises ParameterError if an answer is not finite.
     """
-    if not queries:
-        raise ParameterError("query release needs at least one query")
     check_above("epsilon", epsilon)
     check_unit_interval("delta", delta)
-    k = len(queries)
-    base = tlap_release_baseline(queries, epsilon / 3.0, delta**2 / 10.0)
-
-    def scored_run(ds: Dataset, run_stream: RandomStream) -> ScoredCandidate:
-        answers, certificate = base.run(ds, run_stream)
-        return ScoredCandidate((answers, certificate), -certificate)
-
-    wrapped = Mechanism(run=scored_run, epsilon=base.epsilon, delta=base.delta)
-    config = BtmConfig(alpha=1.0, beta=delta / 10.0)
-    selected = better_than_median(wrapped, config, state)
+    k = len(family)
+    read = _score_reader(family)
+    base = tlap_release_baseline(ScoreFamily(read, k), epsilon / 3.0, delta**2 / 10.0)
+    selected = better_than_median(base, BtmConfig(alpha=1.0, beta=delta / 10.0), state)
 
     log_term = math.log(1.0 / delta)
     threshold = (
         _CORRECTION_CONSTANT * (math.sqrt(k * log_term) + log_term) / epsilon
     )
     if selected is EMPTY or selected.payload[1] > threshold:
-        exact = np.array([f(state.dataset) for f in queries], dtype=float)
-        return ReleaseResult(exact, 0.0, True, state.pure_cost())
+        return ReleaseResult(read(state.dataset), 0.0, True, state.pure_cost())
     answers, certificate = selected.payload
     return ReleaseResult(answers, certificate, False, state.pure_cost())

@@ -12,6 +12,7 @@ import pytest
 
 import dpselect
 from dpselect import cli
+from dpselect.core import TOP
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.with_name("README.md")
@@ -108,6 +109,7 @@ def test_malformed_json_is_rejected(tmp_path, capsys):
         ("svt-bench", {"queries": -3}),
         ("mwu-bench", {"n": 0}),
         ("mwu-bench", {"universe": 1}),
+        ("svt-bench", {"baseline": 1}),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, overrides):
@@ -131,7 +133,8 @@ def _assert_refused(capsys, args):
 
 # json reads NaN, Infinity and 1e999 (an overflow to inf) as floats; a
 # config holding one must not run and print a bound that cannot fail.  An
-# int past the float range overflows the first float sum it meets.
+# int past the float range overflows the first float sum it meets.  A file
+# that holds valid JSON but no object has no keys to read.
 @pytest.mark.parametrize(
     "command,text",
     [
@@ -141,8 +144,9 @@ def _assert_refused(capsys, args):
         ("mwu-bench", '{"epsilon": 1e999}'),
         ("coin-verify", '{"alphas": [2.0, Infinity]}'),
         ("accountant", '{"max_tops": 1%s}' % ("0" * 400)),
+        ("accountant", "[1, 2]"),
     ],
-    ids=["nan", "infinity", "1e999", "1e999-mwu", "list-entry", "int-1e400"],
+    ids=["nan", "infinity", "1e999", "1e999-mwu", "list-entry", "int-1e400", "non-object"],
 )
 def test_non_finite_config_values_exit_2(tmp_path, capsys, command, text):
     config = tmp_path / "c.json"
@@ -150,10 +154,30 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, command, text):
     _assert_refused(capsys, [command, "--config", str(config), "--trials", "1"])
 
 
+def _readme_default(text):
+    """A README default such as `1e-6`, `null` or "`subset`; also ..." as a value."""
+    text = re.split(r";| or ", text)[0].strip("` ")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
 def test_readme_lists_every_command():
     text = README.read_text(encoding="utf-8")
     line = text[text.index("\nCommands: "):].split("\n\n")[0]
     assert sorted(re.findall(r"`([a-z-]+)`", line)) == sorted(cli._COMMANDS)
+    # The config-key table lists every key with its default, value and type.
+    table = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", text, re.MULTILINE))
+    assert sorted(table) == sorted(cli._COMMANDS)
+    for command, entry in cli._COMMANDS.items():
+        listed = {
+            key: _readme_default(default)
+            for key, default in re.findall(r"`(\w+)` \(([^)]*)\)", table[command])
+        }
+        assert list(listed) == list(entry.defaults), command
+        for key, default in entry.defaults.items():
+            assert (type(listed[key]), listed[key]) == (type(default), default), (command, key)
 
 
 COUNT_KEYS = [
@@ -331,6 +355,16 @@ def test_failure_exit_code_is_plumbed_through(tmp_path, monkeypatch):
     assert cli.main(["accountant", "--config", str(config)]) == 1
 
 
+def test_svt_bench_exits_1_on_a_wrong_verdict(tmp_path, monkeypatch):
+    # TOP on every query is wrong on each clear BOT: count less its TOP slots.
+    monkeypatch.setattr(cli, "repetitive_svt", lambda queries, params, state: [TOP] * len(queries))
+    queries, trials = 12, 3
+    code, text = run_cli(tmp_path, "w", "svt-bench", {"m": 16, "queries": queries}, trials)
+    assert code == 1
+    wrong = trials * (queries - max(queries // 8, 1))
+    assert text.splitlines()[-1] == f"svt-bench,-1,violations,{wrong},aggregate"
+
+
 def test_svt_bench_reads_query_files(tmp_path):
     queries = tmp_path / "queries.csv"
     queries.write_text("# value,threshold\n5.0,0.0\n-5000.0,0.0\n-6000.0,0.0\n")
@@ -385,6 +419,19 @@ def test_mwu_bench_emits_per_query_rows(tmp_path):
     assert len(answer_rows) == 2 * 8
     assert "query=0" in answer_rows[0]
     assert any(",updates," in l for l in text.splitlines())
+
+
+@pytest.mark.parametrize("adversary", ["subset", "repeat", "overfit"])
+@pytest.mark.parametrize("distribution", ["skewed", "uniform"])
+def test_mwu_bench_runs_every_distribution_and_adversary(tmp_path, distribution, adversary):
+    overrides = {"n": 800, "m": 4, "universe": 8,
+                 "distribution": distribution, "adversary": adversary}
+    code_a, text_a = run_cli(tmp_path, "a", "mwu-bench", overrides, 2)
+    code_b, text_b = run_cli(tmp_path, "b", "mwu-bench", overrides, 2)
+    assert code_a == 0 and code_b == 0
+    assert text_a == text_b
+    assert json.loads(text_a.splitlines()[0][2:])["config"] == dict(
+        cli._COMMANDS["mwu-bench"].defaults, **overrides)
 
 
 def test_mwu_bench_rejects_unknown_names(tmp_path):

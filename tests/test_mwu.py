@@ -623,6 +623,28 @@ def test_random_adversaries_draw_from_one_helper():
             assert overfitting.next_query() is final
 
 
+def test_overfitting_final_query_falls_back_to_the_argmax():
+    # Every probe answers at most 1/2, so each probe's elements lose a point
+    # and the rest gain one.  Two probes that split a two-element universe
+    # leave no score positive, and the final query keeps the argmax element
+    # alone rather than no element; two equal probes keep the element both left out.
+    splits = 0
+    for seed in range(20):
+        adversary = OverfittingAdversary(2, RandomStream(seed), probes=2)
+        probes = []
+        for answer in (0.5, 0.0):
+            probes.append(adversary.next_query().values.tolist())
+            adversary.observe(answer)
+        final = adversary.next_query().values.tolist()
+        if probes[0] != probes[1]:
+            splits += 1
+            assert adversary._scores.tolist() == [0.0, 0.0]
+            assert final == [1.0, 0.0]
+        else:
+            assert final == [1.0 - v for v in probes[0]]
+    assert 0 < splits < 20
+
+
 def test_query_table_rows_are_read_only_views_in_order():
     table = np.array([[0.0, 1.0], [0.25, 0.5], [1.0, 1.0]])
     queries = list(LinearQuery.rows(table))

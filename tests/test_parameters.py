@@ -73,7 +73,7 @@ COUNT_FROM_2 = COUNT + (1,)
 STREAM_KEY = (NAN, -1, 2.7, 10.0, True)
 
 _ADVERSARY = DeterministicAdversary.from_probabilities([(0.5, 0.45)] * 3, 0.2)
-_QUERIES = [lambda ds: 0.0, lambda ds: 1.0]
+_QUERIES = ScoreFamily.from_table(2)
 
 
 def _topk(**changes):
@@ -188,8 +188,7 @@ CASES = [
     ("better_than_median", "state gamma", NOT_A_NUMBER,
      lambda v: better_than_median(Mechanism(lambda ds, s: ScoredCandidate(0, 1.0), 0.1),
                                   BtmConfig(1.0, 0.5), _gamma_state(v))),
-    ("ScoreFamily", "sensitivity", POSITIVE,
-     lambda v: ScoreFamily.from_table(4, sensitivity=v)),
+    ("ScoreFamily", "size", COUNT, ScoreFamily.from_table),
     ("ScoreFamily", "k_bound", COUNT, lambda v: ScoreFamily.from_table(4, k_bound=v)),
     ("topk_select", "k", COUNT + (4,) + NOT_A_NUMBER, lambda v: _topk(k=v)),
     ("topk_select", "epsilon", UNIT, lambda v: _topk(epsilon=v)),

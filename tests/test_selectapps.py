@@ -33,7 +33,7 @@ from dpselect.selectapps import (
 )
 
 
-def topk_base(monkeypatch, scores, k, epsilon, delta, beta, sensitivity=1.0):
+def topk_base(monkeypatch, scores, k, epsilon, delta, beta):
     """The base mechanism that topk_select boosts, captured from one call."""
     captured = []
     boost = selectapps.better_than_median
@@ -44,7 +44,7 @@ def topk_base(monkeypatch, scores, k, epsilon, delta, beta, sensitivity=1.0):
 
     with monkeypatch.context() as patch:
         patch.setattr(selectapps, "better_than_median", capture)
-        family = ScoreFamily.from_table(len(scores), sensitivity=sensitivity)
+        family = ScoreFamily.from_table(len(scores))
         topk_select(family, k, epsilon, delta, beta, Dataset(scores), RandomStream(0), budget_cap=1)
     return captured[0]
 
@@ -167,13 +167,23 @@ def test_stability_pivot_order_statistic():
 
 def test_score_family_validation_and_table():
     with pytest.raises(ParameterError):
-        ScoreFamily(())
-    with pytest.raises(ParameterError):
-        ScoreFamily((lambda d: 0.0,), sensitivity=0.0)
+        ScoreFamily(lambda d: np.zeros(0), 0)
     family = ScoreFamily.from_table(3)
-    ds = make_dataset([4.0, 5.0, 6.0])
+    ds = make_dataset([4.0, 5.0, 6.0, 7.0])
     assert family.evaluate_all(ds) == pytest.approx([4.0, 5.0, 6.0])
+    assert ds.access_count == 1
     assert len(family) == 3
+
+
+@pytest.mark.parametrize("records", [np.arange(3.0), np.zeros((5, 2))],
+                         ids=["too-short", "two-dimensional"])
+def test_evaluate_all_refuses_a_wrong_shape(records):
+    # a from-table family longer than its dataset is refused, not an IndexError
+    with pytest.raises(ParameterError, match=r"scores must have shape \(5,\)"):
+        ScoreFamily.from_table(5).evaluate_all(Dataset(records))
+    for read in (lambda ds: ds.fetch(), lambda ds: 1.0):
+        with pytest.raises(ParameterError, match=r"scores must have shape \(5,\)"):
+            ScoreFamily(read, 5).evaluate_all(Dataset(records))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -249,7 +259,7 @@ def test_topk_certificate_is_loose_at_large_beta():
 
 
 def test_topk_reads_the_scores_once(monkeypatch):
-    # Every fired run and the fallback share one read of the m scores; a
+    # Every fired run and the fallback share one read of the scores; a
     # budget of one often fires nothing, a zero correction constant makes
     # the correcting run (beta < delta) fall back after its fired runs.
     m = 10
@@ -263,16 +273,23 @@ def test_topk_reads_the_scores_once(monkeypatch):
         result = topk_select(
             family, 2, 0.9, 0.05, beta, ds, RandomStream(i), budget_cap=cap
         )
-        assert ds.access_count == m
+        assert ds.access_count == 1
         outcomes.add((cap, result.fallback))
     assert outcomes == {(1, False), (1, True), (50, False), (50, True)}
+    # with the gate forced open all 50 repetitions fire, and still share one read
+    monkeypatch.setattr(core, "sample_pass_probability", lambda stream, gamma: 1.0)
+    ds = Dataset(records)
+    assert not topk_select(family, 2, 0.9, 0.05, 0.1, ds, RandomStream(0), budget_cap=50).fallback
+    assert ds.access_count == 1
 
 
 def test_topk_fired_run_has_the_peeling_law(monkeypatch):
     # At budget_cap=1 and beta >= delta nothing is corrected, so a result
-    # without fallback is the k-set of exactly one fired base run.
+    # without fallback is the k-set of exactly one fired base run.  The
+    # unit-sensitivity family reads scores / 2, which has the law of the
+    # exponential mechanism on the scores at sensitivity 2.
     scores = np.array([0.0, 100.0, 200.0, 300.0, 400.0])
-    family = ScoreFamily.from_table(5, sensitivity=2.0)
+    family = ScoreFamily.from_table(5)
     epsilon, delta, beta, k = 0.9, 0.5, 0.5, 2
     round_epsilon = epsilon / (40.0 * math.sqrt(k * math.log(1.0 / delta)))
     law = oracles.peeled_set_law(scores, round_epsilon, 2.0, k)
@@ -297,7 +314,7 @@ def test_topk_fired_run_has_the_peeling_law(monkeypatch):
     fired = []
     for i in range(20_000):
         result = topk_select(
-            family, k, epsilon, delta, beta, Dataset(scores), RandomStream(i), budget_cap=1
+            family, k, epsilon, delta, beta, Dataset(scores / 2.0), RandomStream(i), budget_cap=1
         )
         if not result.fallback:
             fired.append(result.indices)
@@ -305,13 +322,15 @@ def test_topk_fired_run_has_the_peeling_law(monkeypatch):
     assert p_value(fired) > 1e-3
 
     # One batch call of count runs has the law of the best of count runs.
-    base = topk_base(monkeypatch, scores, k, epsilon, delta, beta, sensitivity=2.0)
+    base = topk_base(monkeypatch, scores / 2.0, k, epsilon, delta, beta)
     count, trials = 3, 4_000
     batched = collections.Counter(
-        base.batch(Dataset(scores), RandomStream(i), count).payload[0] for i in range(trials)
+        base.batch(Dataset(scores / 2.0), RandomStream(i), count).payload[0]
+        for i in range(trials)
     )
     looped = collections.Counter(
-        max(base.run(Dataset(scores), RandomStream(i).split(j)) for j in range(count)).payload[0]
+        max(base.run(Dataset(scores / 2.0), RandomStream(i).split(j))
+            for j in range(count)).payload[0]
         for i in range(trials)
     )
     table = np.array([[batched[s], looped[s]] for s in sets if batched[s] + looped[s] >= 10])
@@ -609,7 +628,7 @@ def test_noisy_max_matches_the_per_run_reference(monkeypatch, name, p):
 
     monkeypatch.setattr(selectapps, "sample_truncated_laplace", recording_sampler)
     records = np.linspace(0.0, 12.0, 8)
-    evaluators = ScoreFamily.from_table(records.size).evaluators
+    evaluators = [lambda ds, i=i: float(ds.fetch()[i]) for i in range(records.size)]
     picks = collections.Counter()
     for seed in range(200):
         state = forced_state(p=p, records=records, seed=seed)
@@ -637,7 +656,7 @@ def test_noisy_max_reads_the_scores_once(name):
     for seed in range(5):
         state = forced_state(p=1.0, records=np.linspace(0.0, 3.0, 6), seed=seed)
         select(6, state)
-        assert state.dataset.access_count == 6
+        assert state.dataset.access_count == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -652,13 +671,14 @@ def test_noisy_max_refuses_non_finite_scores(name, bad):
 
 
 def test_release_baseline_certificate_never_undershoots():
-    queries = [lambda d: float(d.fetch()[0]), lambda d: float(d.fetch()[1])]
-    base = tlap_release_baseline(queries, 0.4, 1e-4)
+    base = tlap_release_baseline(ScoreFamily.from_table(2), 0.4, 1e-4)
     ds = Dataset(np.array([2.0, -1.0]))
     truth = np.array([2.0, -1.0])
     worst = -1.0
     for i in range(20_000):
-        answers, certificate = base.run(ds, RandomStream(i))
+        run = base.run(ds, RandomStream(i))
+        answers, certificate = run.payload
+        assert run.score == -certificate
         error = float(np.abs(answers - truth).max())
         assert certificate >= error
         worst = max(worst, certificate - error)
@@ -666,13 +686,35 @@ def test_release_baseline_certificate_never_undershoots():
 
 
 def test_release_baseline_validation():
-    with pytest.raises(ParameterError):
-        tlap_release_baseline([], 0.4, 1e-4)
+    # a NaN answer or a wrong-shaped read is refused before any noise is drawn
+    base = tlap_release_baseline(ScoreFamily.from_table(3), 0.4, 1e-4)
+    for records, refusal in (([1.0, np.nan, 2.0], "scores must be finite"),
+                             ([1.0, 2.0], r"scores must have shape \(3,\)")):
+        with pytest.raises(ParameterError, match=refusal):
+            base.run(Dataset(np.array(records)), RandomStream(0))
+        with pytest.raises(ParameterError, match=refusal):
+            query_release_amplified(ScoreFamily.from_table(3), 0.5, 0.05,
+                                    forced_state(p=1.0, records=records))
+
+
+def test_release_reads_the_answers_once():
+    # every fired run and the fallback share one read of the k answers
+    family = ScoreFamily.from_table(3)
+    fallbacks = set()
+    for seed in range(20):
+        state = forced_state(p=1.0, records=[1.0, -2.0, 0.5], seed=seed)
+        fallbacks.add(query_release_amplified(family, 0.5, 0.05, state).fallback)
+        assert state.dataset.access_count == 1
+    state = forced_state(p=0.0, records=[1.0, -2.0, 0.5])
+    result = query_release_amplified(family, 0.5, 0.05, state)
+    assert result.fallback and state.dataset.access_count == 1
+    assert list(result.answers) == [1.0, -2.0, 0.5]
+    assert fallbacks == {False}
 
 
 def test_release_error_stays_certified_and_fallback_is_rare():
     epsilon, delta = 0.5, 0.05
-    queries = [lambda d: float(d.fetch()[0]), lambda d: float(d.fetch()[1])]
+    family = ScoreFamily.from_table(2)
     truth = np.array([1.0, -2.0])
     threshold = (
         30.0
@@ -683,7 +725,7 @@ def test_release_error_stays_certified_and_fallback_is_rare():
     trials = 1_500
     for i in range(trials):
         state = core.init(1.0, Dataset(truth.copy()), RandomStream(i))
-        result = query_release_amplified(queries, epsilon, delta, state)
+        result = query_release_amplified(family, epsilon, delta, state)
         error = float(np.abs(result.answers - truth).max())
         if result.fallback:
             fallbacks += 1
