@@ -42,7 +42,7 @@ from .selectapps import (
     better_than_median,
     topk_select,
 )
-from .svt import SvtQuery, repetitive_svt, svt_params
+from .svt import repetitive_svt, svt_params
 
 def _format_value(value) -> str:
     if isinstance(value, bool):
@@ -64,8 +64,9 @@ def _read_rows(path: str, columns: str, minimum: int = 1) -> np.ndarray:
     """Numeric rows of a line-oriented file, one ``columns``-shaped row per line.
 
     Blank lines and lines starting with ``#`` are skipped.  Returns an array
-    of shape (rows, number of columns); a malformed line or fewer than
-    ``minimum`` rows raises ParameterError naming the file and line.
+    of shape (rows, number of columns); a malformed line, a NaN or infinite
+    entry (``1e999`` included) or fewer than ``minimum`` rows raises
+    ParameterError naming the file and line.
     """
     width = columns.count(",") + 1
     rows = []
@@ -80,11 +81,14 @@ def _read_rows(path: str, columns: str, minimum: int = 1) -> np.ndarray:
                     f"{path} line {number}: expected '{columns}', got {text!r}"
                 )
             try:
-                rows.append([float(part) for part in parts])
+                row = [float(part) for part in parts]
             except ValueError:
                 raise ParameterError(
                     f"{path} line {number}: non-numeric entry in {text!r}"
                 ) from None
+            if not all(map(math.isfinite, row)):
+                raise ParameterError(f"{path} line {number}: non-finite entry in {text!r}")
+            rows.append(row)
     if len(rows) < minimum:
         raise ParameterError(f"{path}: need at least {minimum} '{columns}' lines")
     return np.array(rows)
@@ -278,15 +282,11 @@ def _run_svt_bench(config: dict, trials: int, stream: RandomStream, pure_dp: boo
                 : max(count // 8, 1)
             ]
             values[top_slots] = params.d
-        dataset = Dataset(values)
-        queries = [
-            SvtQuery(lambda ds, j=j: float(ds.fetch()[j]), float(thresholds[j]))
-            for j in range(count)
-        ]
-        state = core.init(params.gamma, dataset, trial_stream.split(1))
+        state = core.init(params.gamma, Dataset(values), trial_stream.split(1))
         answered = 0
         tops = 0
-        for index, verdict in enumerate(repetitive_svt(queries, params, state)):
+        shifted = (values - thresholds).tolist()
+        for index, verdict in enumerate(repetitive_svt(shifted, params, state)):
             answered += 1
             is_top = verdict is not BOT
             if _wrong_svt_verdict(is_top, values[index], thresholds[index], params.d):

@@ -30,7 +30,7 @@ from .errors import (
     check_unit_interval,
 )
 from .noise import RandomStream, sample_laplace
-from .svt import RepetitiveSvt, SvtConfig, SvtQuery, svt_params
+from .svt import RepetitiveSvt, SvtConfig, svt_params
 
 _FIXED_POINT_CONSTANT = 40.0
 _REDRAW_LIMIT = 3
@@ -266,10 +266,10 @@ class MwuSession:
     Each comparison is one SVT check, at threshold 0, of the distance
     |sample mean - center| less a radius: alpha for the guess, alpha/2 for a
     release.  It has the sample mean's sensitivity 1/n (it is 1-Lipschitz in
-    the mean, and the center and radius are public).  The one check is built
-    once per session and its evaluator fetches the value from a one-slot
-    holder, so an answer allocates no check.  A session issues at most
-    m + 4 * update rounds <= m + 4k' SVT queries.
+    the mean, and the center and radius are public).  The session reads its
+    records once, at construction, and hands each check's value to the SVT
+    as a number.  A session issues at most m + 4 * update rounds <= m + 4k'
+    SVT queries.
     """
 
     def __init__(self, config: MwuConfig, dataset: Dataset, stream: RandomStream):
@@ -282,22 +282,10 @@ class MwuSession:
         self.dataset = dataset
         self.state = core.init(config.svt.gamma, dataset, stream)
         self._svt = RepetitiveSvt(config.svt, self.state)
-        # The evaluator reads a holder, not the session: a closure over the
-        # session would make a reference cycle and leave every finished
-        # session to the cyclic collector.
-        self._excess = excess = [0.0]
-
-        def evaluator(ds: Dataset) -> float:
-            ds.fetch()
-            return excess[0]
-
-        self._check = SvtQuery(evaluator, 0.0)
         self.update_rounds = 0
         self.release_count = 0
         # Row 0 is the public histogram, row 1 the frozen empirical
         # frequencies, so one product gives the guess and the sample mean.
-        # The evaluator still fetches for the access instrumentation; the
-        # records themselves cannot change under a live session.
         self._table = np.stack([
             uniform_histogram(config.universe_size),
             _record_counts(records, config.universe_size) / config.n,
@@ -314,8 +302,7 @@ class MwuSession:
 
     def _within(self, mean: float, center: float, radius: float) -> bool:
         """One SVT check of |sample mean - center| - radius <= 0."""
-        self._excess[0] = abs(mean - center) - radius
-        return self._svt.process(self._check) is BOT
+        return self._svt.process(abs(mean - center) - radius) is BOT
 
     def answer(self, query) -> float:
         """Answer one linear query; may consume update budget."""
@@ -332,7 +319,6 @@ class MwuSession:
         scale = self.config.svt.sensitivity / epsilon_prime
         released = 0.0
         for _ in range(1 + _REDRAW_LIMIT):
-            self.dataset.fetch()
             released = mean + sample_laplace(self.state.stream, scale)
             # An epsilon'-DP release is dominated by one TOP unit on the ledger.
             self.state.ledger.register(epsilon_prime)

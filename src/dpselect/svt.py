@@ -1,13 +1,14 @@
 """Repetitive sparse-vector testing built on the gated Test primitive.
 
-Each incoming threshold query is answered by alternating batches of tau
-gated tests: an above-direction batch claims the value sits below the
-threshold, a below-direction batch claims it sits above threshold - d.  A
-batch that produces a TOP anywhere fails, consumes one unit of the global
-TOP budget k', and flips the direction; the first batch that comes back
-all-BOT settles the query (BOT for an above batch, TOP for a below batch).
-Exhausting the budget mid-query halts the whole session and leaves that
-query unanswered.
+Each threshold query arrives as its shifted value (its value less its
+threshold), which the session takes as given: it reads no record.  Each is
+answered by alternating batches of tau gated tests: an above-direction
+batch claims the shifted value sits below 0, a below-direction batch claims
+it sits above -d.  A batch that produces a TOP anywhere fails, consumes one
+unit of the global TOP budget k', and flips the direction; the first batch
+that comes back all-BOT settles the query (BOT for an above batch, TOP for
+a below batch).  Exhausting the budget mid-query halts the whole session
+and leaves that query unanswered.
 """
 
 from __future__ import annotations
@@ -40,14 +41,6 @@ class SvtConfig:
     tau: int
     k_prime: int
     sensitivity: float
-
-
-@dataclass(frozen=True)
-class SvtQuery:
-    """A numeric query (sensitivity bounded by the session's) and a threshold."""
-
-    evaluator: Evaluator
-    threshold: float
 
 
 def svt_params(
@@ -188,22 +181,22 @@ class RepetitiveSvt:
         self._bound_p = math.nan
         self._bound = math.nan
 
-    def process(self, query: SvtQuery) -> Verdict:
+    def process(self, value: float) -> Verdict:
         """Settle one query, or raise HaltedError if the budget ran out.
 
-        The raising call itself consumed the final budget unit; the query
-        that triggered it is left unanswered, as is everything after it.
+        ``value`` is the query's value less its threshold, for a query of at
+        most the session's sensitivity.  The raising call itself consumed
+        the final budget unit; the query that triggered it is left
+        unanswered, as is everything after it.
 
-        The query's shifted value is read once and serves every batch.  A
-        value at or below ``_settle_bound`` answers BOT at once, with the
-        first above batch's effects: the epsilon registration, that one
-        read, and no draw, charge or TOP.
+        A value at or below ``_settle_bound`` answers BOT at once, with the
+        first above batch's effects: the epsilon registration, and no draw,
+        charge or TOP.
         """
         if self.halted:
             raise HaltedError("TOP budget exhausted, session halted")
         state = self.state
         state.ledger.register(self.config.epsilon_prime)
-        value = query.evaluator(state.dataset) - query.threshold
         if state.p != self._bound_p:
             self._bound_p = state.p
             self._bound = _settle_bound(state.p, self.config.tau, self._scale)
@@ -221,21 +214,22 @@ class RepetitiveSvt:
 
 
 def repetitive_svt(
-    queries: Iterable[SvtQuery],
+    values: Iterable[float],
     config: SvtConfig,
     state: FrameworkState,
 ) -> Iterator[Verdict]:
-    """Yield settled verdicts in query order until the queries or the budget run out.
+    """Yield settled verdicts in query order until the values or the budget run out.
 
-    BOT claims the value is at most the threshold (up to the noise margin);
-    TOP claims it is at least threshold - d.  The i-th verdict answers the
-    i-th query.  A budget halt ends the stream early without a verdict for
-    the query in flight, so the stream can be strictly shorter than the input.
+    Each value is one query's value less its threshold.  BOT claims it is at
+    most 0 (up to the noise margin); TOP claims it is at least -d.  The i-th
+    verdict answers the i-th value.  A budget halt ends the stream early
+    without a verdict for the query in flight, so the stream can be strictly
+    shorter than the input.
     """
     session = RepetitiveSvt(config, state)
-    for query in queries:
+    for value in values:
         try:
-            verdict = session.process(query)
+            verdict = session.process(value)
         except HaltedError:
             return
         yield verdict

@@ -251,22 +251,55 @@ def median_boost_budget(alpha: float, beta: float) -> int:
     return math.ceil(5.0 * (2.0 / beta) ** (1.0 / alpha) * math.log(1.0 / beta))
 
 
+def fired_count_pmf(gamma: float, tau: int) -> np.ndarray:
+    """P(N = j), j = 0..tau, for the fired count N of tau gated runs.
+
+    N ~ Binomial(tau, p) for a gate p of density gamma * p**(gamma - 1), so
+    P(N = j) = C(tau, j) * gamma * B(j + gamma, tau - j + 1).  At gamma = 1
+    it is uniform on 0..tau, and E[N] = tau * gamma / (gamma + 1).
+    """
+    j = np.arange(tau + 1)
+    log_choose = special.gammaln(tau + 1) - special.gammaln(j + 1) - special.gammaln(tau - j + 1)
+    return np.exp(log_choose + math.log(gamma) + special.betaln(j + gamma, tau - j + 1))
+
+
+def no_success(gamma: float, tau: int, F: float) -> float:
+    """E[(1 - p*F)**tau] for a gate p of density gamma * p**(gamma - 1) on [0, 1].
+
+    The chance that none of tau gated runs both fires and succeeds, each run
+    succeeding with chance F: gamma * F**-gamma * B(gamma, tau + 1) *
+    I_F(gamma, tau + 1), with I the regularized incomplete beta, summed in
+    log space.  Where (gamma + tau + 1) * F < 1/2 that product underflows as
+    F falls, and the value is read from the equal form (1 - F)**(tau + 1) *
+    2F1(gamma + tau + 1, 1; gamma + 1; F), whose series then shrinks at
+    least twofold a term; F = 0 gives 1.  betaln takes a difference of
+    lgammas, so around tau = 4e5 its relative error reaches about 4e-10.
+    """
+    b = tau + 1.0
+    if (gamma + b) * F < 0.5:
+        term = total = 1.0
+        i = 0
+        while term > 1e-17 * total:
+            term *= (gamma + b + i) / (gamma + 1.0 + i) * F
+            total += term
+            i += 1
+        return math.exp(b * math.log1p(-F) + math.log(total))
+    return math.exp(math.log(gamma) - gamma * math.log(F) + special.betaln(gamma, b)
+                    + math.log(special.betainc(gamma, b, F)))
+
+
 def median_boost_failure(alpha: float, tau: int) -> float:
     """E[(1 - p/2)**tau] for a gate p of density alpha * p**(alpha - 1) on [0, 1].
 
     Each of tau coins fires with chance p and a fired run beats the median
     with chance at least 1/2, so this bounds the median boost's failure.
-    Putting u = p/2 gives alpha * 2**alpha * B(alpha, tau + 1) *
-    I_{1/2}(alpha, tau + 1), with I the regularized incomplete beta.
     """
-    b = tau + 1.0
-    return (alpha * 2.0**alpha * math.exp(special.betaln(alpha, b))
-            * special.betainc(alpha, b, 0.5))
+    return no_success(alpha, tau, 0.5)
 
 
 def no_fire_probability(m: int, tau: int) -> float:
     """E[(1 - p)**(m * tau)] = 1 / (m * tau + 1): no coin fires, p uniform on [0, 1]."""
-    return 1.0 / (m * tau + 1.0)
+    return no_success(1.0, m * tau, 1.0)
 
 
 def svt_recipe(epsilon, delta, k, m, beta, sensitivity=1.0, pure_dp=False):

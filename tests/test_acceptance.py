@@ -40,7 +40,6 @@ from dpselect.noise import RandomStream, sample_pass_probability
 from dpselect.selectapps import BtmConfig, ScoredCandidate, better_than_median
 from dpselect.svt import (
     RepetitiveSvt,
-    SvtQuery,
     above_hypothesis,
     below_hypothesis,
     svt_params,
@@ -233,7 +232,7 @@ def test_criterion_08_svt_semantics_at_scale():
         try:
             for index in range(m):
                 verdict = session.process(
-                    SvtQuery(lambda ds, j=index: float(ds.fetch()[j]), 0.0)
+                    float(dataset.fetch()[index]) - thresholds[index]
                 )
                 answered += 1
                 if verdict is BOT:

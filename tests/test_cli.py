@@ -409,7 +409,32 @@ def test_topk_bench_reads_score_tables(tmp_path, capsys):
     # can refuse the NaN
     args = ["topk-bench", "--config", str(config), "--trials", "1", "--seed", "5"]
     assert cli.main(args) == 2
-    assert "scores must be finite" in capsys.readouterr().err
+    assert "line 2: non-finite entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, good, bad",
+    [
+        ("coin-verify", "schedule_file", "0.5,0.5", "nan,0.5"),
+        ("coin-verify", "schedule_file", "0.5,0.5", "0.5,inf"),
+        ("topk-bench", "table_file", "1.0", "nan"),
+        ("topk-bench", "table_file", "1.0", "-inf"),
+        ("svt-bench", "query_file", "-5000.0,0.0", "0.0,nan"),
+        ("svt-bench", "query_file", "-5000.0,0.0", "inf,0.0"),
+        ("svt-bench", "query_file", "-5000.0,0.0", "1e999,0.0"),
+    ],
+)
+def test_non_finite_file_entries_exit_2_naming_the_line(
+    tmp_path, capsys, command, key, good, bad
+):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(f"# header\n{good}\n{bad}\n{good}\n")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: str(rows)}))
+    assert cli.main([command, "--config", str(config), "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{rows} line 3: non-finite entry" in err
 
 
 def test_mwu_bench_emits_per_query_rows(tmp_path):

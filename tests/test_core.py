@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special, stats
 
 import oracles
 from conftest import CountingHypothesis, CountingMechanism, forced_state, make_dataset
@@ -135,6 +136,82 @@ def test_selection_hands_the_fired_count_to_batch():
     counts = []
     assert forced_state(p=0.0).selection(10**6, [batching(counts)]) is EMPTY
     assert counts == []
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.7])
+@pytest.mark.parametrize("tau", [1, 5, 40, 1000])
+def test_fired_count_pmf_sums_to_one_with_the_gate_mean(gamma, tau):
+    pmf = oracles.fired_count_pmf(gamma, tau)
+    assert pmf.shape == (tau + 1,) and pmf.min() > 0
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    assert pmf @ np.arange(tau + 1) == pytest.approx(tau * gamma / (gamma + 1), rel=1e-10)
+    if gamma == 1.0:
+        np.testing.assert_allclose(pmf, 1.0 / (tau + 1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("gamma, seed", [(0.5, 1610), (1.0, 1611), (2.0, 1612)])
+def test_package_fired_counts_follow_the_pmf(gamma, seed):
+    # init draws p, selection draws the fired count of tau gated runs and
+    # hands it to the batch body, which records it; no call means 0 fired.
+    tau, trials = 6, 3_000
+    counts = []
+
+    def batch(dataset, stream, count):
+        counts[-1] = count
+        return 0.0
+
+    mechanism = Mechanism(run=lambda d, s: pytest.fail("run called"), epsilon=0.1, batch=batch)
+    root = RandomStream(seed)
+    for trial in range(trials):
+        counts.append(0)
+        core.init(gamma, make_dataset(), root.split(trial)).selection(tau, [mechanism])
+    observed = np.bincount(counts, minlength=tau + 1)
+    expected = trials * oracles.fired_count_pmf(gamma, tau)
+    assert expected.min() >= 5
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.7])
+@pytest.mark.parametrize("tau", [1, 7, 50, 300])
+def test_no_success_matches_quadrature(gamma, tau):
+    # The gate density's p**(gamma - 1) is quad's algebraic weight, which
+    # stays sound at the singular gamma < 1 and the steep large-tau cells; F
+    # spans both sides of the series switch at (gamma + tau + 1) F = 1/2.
+    switch = 0.5 / (gamma + tau + 1)
+    for F in (1e-6, 0.98 * switch, 1.02 * switch, 0.01, 0.3, 0.5, 1.0):
+        want = integrate.quad(
+            lambda p: gamma * (1 - p * F) ** tau, 0, 1,
+            weight="alg", wvar=(gamma - 1, 0), epsabs=0, epsrel=1e-13, limit=200,
+        )[0]
+        assert oracles.no_success(gamma, tau, F) == pytest.approx(want, rel=1e-10), F
+
+
+def test_no_success_stays_finite_where_the_product_form_underflows():
+    # The gamma = 1 gate at tau = ceil(20/delta), delta in {0.05, 0.01, 1e-3}:
+    # the fallback cells whose one-run chance F was too small for a product
+    # form.  The closed form (1 - (1 - F)**(tau+1)) / ((tau+1) F) holds there,
+    # up to betaln's lgamma rounding on the product-form side of the switch.
+    for tau in (400, 2_000, 20_000):
+        for F in np.geomspace(1.0, 1e-12, 25).tolist() + [1e-30, 1e-300, 1e-310, 5e-324]:
+            got = oracles.no_success(1.0, tau, F)
+            b = tau + 1
+            closed = -math.expm1(b * math.log1p(-F)) / (b * F) if F < 1 else 1 / b
+            assert math.isfinite(got) and 0.0 < got <= 1.0, (tau, F, got)
+            assert got == pytest.approx(closed, rel=1e-10), (tau, F)
+        assert oracles.no_success(1.0, tau, 0.0) == 1.0
+
+
+def test_oracles_built_on_no_success_keep_their_values():
+    for alpha in (0.5, 1.0, 1.5, 3.0, 8.0):
+        for tau in (1, 10, 300, 10**4, 10**7):
+            b = tau + 1.0
+            before = (alpha * 2.0**alpha * math.exp(special.betaln(alpha, b))
+                      * special.betainc(alpha, b, 0.5))
+            assert oracles.median_boost_failure(alpha, tau) == pytest.approx(before, abs=1e-12)
+    for m in (1, 2, 5):
+        for tau in (4, 40, 4_000, 40_000, 4 * 10**6, 4 * 10**9):
+            want = 1 / (m * tau + 1)
+            assert oracles.no_fire_probability(m, tau) == pytest.approx(want, abs=1e-12)
 
 
 def test_selection_runs_every_mechanism_independently():

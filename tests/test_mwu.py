@@ -375,16 +375,18 @@ def test_a_guess_above_the_sample_mean_moves_the_histogram_down():
 
 
 def test_each_comparison_is_one_svt_query(monkeypatch):
-    # Every comparison hands the session's one threshold-0 query to the SVT,
-    # once, with the radius for its kind: alpha for the guess, alpha/2 per release.
-    queries, radii = [], []
+    # Every comparison hands the SVT one value, |mean - center| - radius bit
+    # for bit, with the radius for its kind: alpha for the guess, alpha/2
+    # per release.
+    values, expected, radii = [], [], []
     process, within = RepetitiveSvt.process, MwuSession._within
 
-    def counted(self, query):
-        queries.append(query)
-        return process(self, query)
+    def counted(self, value):
+        values.append(value)
+        return process(self, value)
 
     def spied(self, mean, center, radius):
+        expected.append(abs(mean - center) - radius)
         radii.append(radius)
         return within(self, mean, center, radius)
 
@@ -396,23 +398,36 @@ def test_each_comparison_is_one_svt_query(monkeypatch):
         session.answer(generator.random(16))
     assert session.update_rounds == 0
     assert radii == [config.alpha] * 20
-    assert len(queries) == 20
-    assert all(query is session._check and query.threshold == 0.0 for query in queries)
+    assert [float(v).hex() for v in values] == [v.hex() for v in expected]
 
     session, config = skewed_session(seed=24)
     spike = np.zeros(8)
     spike[7] = 1.0
     paths = set()
     for _ in range(40):
-        queries.clear()
+        values.clear()
+        expected.clear()
         radii.clear()
         rounds, releases = session.update_rounds, session.release_count
         session.answer(spike)
         released = session.release_count - releases
         paths.add(session.update_rounds - rounds)
         assert radii == [config.alpha] + [config.alpha / 2.0] * released
-        assert queries == [session._check] * len(radii)
+        assert [float(v).hex() for v in values] == [v.hex() for v in expected]
     assert paths == {0, 1}
+
+
+def test_a_session_reads_its_records_once():
+    # The records are read at construction; answers, releases and updates
+    # read none.
+    session, _ = skewed_session(seed=24)
+    spike = np.zeros(8)
+    spike[7] = 1.0
+    for _ in range(40):
+        session.answer(spike)
+    assert session.update_rounds >= 1
+    assert session.release_count >= 1
+    assert session.dataset.access_count == 1
 
 
 def test_repeated_query_settles_without_oscillation():

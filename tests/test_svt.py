@@ -8,12 +8,11 @@ from scipy import stats
 import oracles
 from conftest import make_dataset
 from dpselect import core, svt
-from dpselect.core import BOT, TOP, Dataset
+from dpselect.core import BOT, TOP
 from dpselect.errors import HaltedError, ParameterError
 from dpselect.noise import RandomStream
 from dpselect.svt import (
     RepetitiveSvt,
-    SvtQuery,
     above_hypothesis,
     below_hypothesis,
     repetitive_svt,
@@ -21,8 +20,8 @@ from dpselect.svt import (
 )
 
 
-def constant_query(value: float, threshold: float) -> SvtQuery:
-    return SvtQuery(evaluator=lambda d: value, threshold=threshold)
+def constant_query(value: float, threshold: float) -> float:
+    return value - threshold
 
 
 def make_session(config, p=None, seed=0, records=None):
@@ -265,18 +264,25 @@ def test_process_after_halt_raises():
 
 
 @pytest.mark.parametrize("every_coin", [False, True])
-@pytest.mark.parametrize("p", [0.0, 0.9])
-def test_a_session_reads_each_query_once(monkeypatch, p, every_coin):
-    # Settled at once, or batched analytically or coin by coin, a query's
-    # data is read exactly once.
+def test_a_session_reads_no_record(monkeypatch, every_coin):
+    # The session takes each shifted value as given: settled at once,
+    # batched analytically or coin by coin, answered TOP or halting, no
+    # query reads the dataset.
     if every_coin:
         run_every_coin(monkeypatch)
-    config = svt_params(1.0, 1e-6, 1, 4, 0.2)
-    session, state = make_session(config, p=p, seed=5)
-    values = [-10.0 * config.d, -config.d / 2.0, 10.0 * config.d, 0.0]
-    for reads, value in enumerate(values, start=1):
-        session.process(reading_query(value))
-        assert state.dataset.access_count == reads
+    config = svt_params(1.0, 1e-6, 1, 8, 0.06)
+    session, state = make_session(config, p=0.9, seed=5)
+    assert session.process(settle_bound(config, 0.9) - 1.0) is BOT
+    assert session.process(-10.0 * config.d) is BOT
+    session.process(-config.d / 2.0)
+    assert session.process(10.0 * config.d) is TOP
+    assert session.charged >= 1
+    with pytest.raises(HaltedError):
+        for _ in range(config.k_prime):
+            session.process(10.0 * config.d)
+    with pytest.raises(HaltedError):
+        session.process(-10.0 * config.d)
+    assert state.dataset.access_count == 0
 
 
 def test_scalar_and_auto_modes_agree_in_law(monkeypatch):
@@ -325,14 +331,6 @@ def counting_batches(monkeypatch, state):
 
     monkeypatch.setattr(state, "test_batch", spy)
     return counts
-
-
-def reading_query(value: float) -> SvtQuery:
-    def evaluator(dataset: Dataset) -> float:
-        dataset.fetch()
-        return value
-
-    return SvtQuery(evaluator=evaluator, threshold=0.0)
 
 
 def test_a_query_certain_to_pass_settles_without_a_batch(monkeypatch):
@@ -391,18 +389,6 @@ def test_the_settle_bound_follows_a_changed_gate_probability(monkeypatch):
     state.p = math.nan
     with pytest.raises(ParameterError):
         session.process(query)
-
-
-def test_process_reads_the_value_once_per_query():
-    config = svt_params(1.0, 1e-6, 3, 50, 1e-3)
-    session, state = make_session(config, p=0.9, seed=12)
-    assert session.process(reading_query(settle_bound(config, 0.9) - 1.0)) is BOT
-    assert state.dataset.access_count == 1
-    # Far above, the above batch fails and the below batch settles TOP: the
-    # parent read once per batch (twice), a session now reads once.
-    assert session.process(reading_query(10.0 * config.d)) is TOP
-    assert session.charged == 1
-    assert state.dataset.access_count == 2
 
 
 def test_full_stream_settles_mixed_verdicts():
